@@ -47,8 +47,10 @@ from .tree import (
     TreeNode,
     ValuationTree,
     build_tree,
+    flatten_tree,
     infinite_branch_residues,
     is_type_ell_1,
+    live_branch_count,
     node_status,
     nodes_by_level,
     walk,
@@ -88,6 +90,8 @@ __all__ = [
     "nodes_by_level",
     "infinite_branch_residues",
     "is_type_ell_1",
+    "live_branch_count",
+    "flatten_tree",
     "OperatorKind",
     "OperatorDescriptor",
     "translate",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .arith import INFINITE, Valuation, nu2
 from .classify import Case, Classification, classify, constant_valuation
-from .closed_form import max_valuation, period_table
+from .closed_form import closed_form_valuation, max_valuation, period_table
 from .operators import canonical_residue_map, canonicalize_to_type_ell_1
 from .oracle import empirical_period, valuation_sequence
 from .poly import DomainError, QuadraticPoly
@@ -32,7 +32,9 @@ from .tree import (
     TreeNode,
     ValuationTree,
     build_tree,
+    flatten_tree,
     infinite_branch_residues,
+    live_branch_count,
     nodes_by_level,
     walk,
 )
@@ -42,10 +44,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_PARTIAL_FAILURE = 4
-
-
-def _val_str(v: Valuation | None) -> str:
-    return str(v)
 
 
 def _val_json(v: Valuation) -> int | str:
@@ -253,7 +251,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     else:
         lines = ["n,value,valuation"]
         lines.extend(
-            f"{seq.start + k},{f(seq.start + k)},{_val_str(v)}" for k, v in enumerate(seq.values)
+            f"{seq.start + k},{f(seq.start + k)},{v}" for k, v in enumerate(seq.values)
         )
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
@@ -261,27 +259,6 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ verify
-
-def _expected_live_count(cls: Classification, level: int) -> int:
-    tag = cls.case_tag
-    if tag in (Case.CASE2_UNBOUNDED, Case.CASE3A_UNBOUNDED):
-        return 1
-    if tag is Case.CASE3B_UNBOUNDED:
-        assert cls.disc is not None and cls.disc.ell is not None
-        return 1 if level <= cls.disc.ell else 2
-    return 2  # case 4
-
-
-def _flatten_complete_tree(tree: ValuationTree, period: int) -> list[int | None]:
-    flat: list[int | None] = [None] * period
-    for node in walk(tree.root):
-        if node.status is not NodeStatus.TERMINATING:
-            continue
-        assert isinstance(node.valuation, int)
-        for r in range(node.residue, period, 1 << node.level):
-            flat[r] = node.valuation
-    return flat
-
 
 def cmd_verify(args: argparse.Namespace) -> int:
     f = _poly_from_args(args)
@@ -321,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if tree.levels != ell:
             failures.append(f"tree did not close exactly at level {ell}")
         else:
-            flat = _flatten_complete_tree(tree, period)
+            flat = flatten_tree(tree, period)
             if flat == list(table.entries):
                 lines.append(f"ok: tree closes at level {ell} and reproduces the period table")
             else:
@@ -349,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     for nd in by.get(level, [])
                     if nd.status in (NodeStatus.NON_TERMINATING, NodeStatus.DEPTH_CAPPED)
                 ]
-                if len(live) != _expected_live_count(cls, level):
+                if len(live) != live_branch_count(cls, level):
                     bad_level = (level, len(live))
                     break
             if bad_level is None:
@@ -357,7 +334,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:
                 failures.append(
                     f"level {bad_level[0]} has {bad_level[1]} live branches, "
-                    f"expected {_expected_live_count(cls, bad_level[0])}"
+                    f"expected {live_branch_count(cls, bad_level[0])}"
                 )
         residues = infinite_branch_residues(f, depth, classification=cls)
         shown = ", ".join(str(r) for r in residues)
@@ -453,7 +430,7 @@ def cmd_ops(args: argparse.Namespace) -> int:
     f = _poly_from_args(args)
     cls = classify(f)
     g, chain = canonicalize_to_type_ell_1(f, classification=cls)
-    gtable = period_table(g)
+    gcls = classify(g)
     if args.json:
         payload: dict = {
             "a": f.a,
@@ -468,7 +445,7 @@ def cmd_ops(args: argparse.Namespace) -> int:
                     "level": level,
                     "canonical_residue": t,
                     "residue": r,
-                    "valuation": gtable.entries[t % gtable.period],
+                    "valuation": closed_form_valuation(g, t, classification=gcls),
                 }
                 for level, t, r in canonical_residue_map(f, classification=cls)
             ]
@@ -482,7 +459,7 @@ def cmd_ops(args: argparse.Namespace) -> int:
         if args.show_canonical:
             lines.append("terminating nodes, canonical residue -> residue for f:")
             for level, t, r in canonical_residue_map(f, classification=cls):
-                v = gtable.entries[t % gtable.period]
+                v = closed_form_valuation(g, t, classification=gcls)
                 lines.append(f"  level {level}: {t} -> {r}  (ν={v})")
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)

@@ -1,41 +1,38 @@
 """Closed-form evaluation of bounded valuation sequences.
 
-For a reduced polynomial in the bounded case (odd leading coefficient,
-even middle coefficient, discriminant 4**ell * delta with m = delta
-mod 8 in {2, 3, 5, 6, 7}) the sequence nu2(f(n)) depends only on
-n mod 2**ell, and the value of each residue class has a formula.
+Take a reduced polynomial in the bounded case: odd leading coefficient
+a, even middle coefficient b = 2h, discriminant 4**ell * delta with
+m = delta mod 8 in {2, 3, 5, 6, 7}.  Completing the square,
 
-With ell >= 2, writing h = b/2 and ainv for the inverse of a modulo
-2**ell, the classes
+    a * f(n) = t**2 - 4**(ell-1) * delta,    t = a*n + h,
 
-    n == ainv * (2**(i-1) - h)  (mod 2**i)   for i = 1 .. ell-1
-    n == ainv * (2**(ell-1) - h)  (mod 2**ell)
-    n == ainv * (2**ell - h)      (mod 2**ell)
+and a is odd, so nu2(f(n)) is the valuation of the right-hand side.
+With k = nu2(t) it is 2*k when k < ell - 1.  Otherwise t = 2**(ell-1) * u
+and the value is 2*(ell-1) + nu2(u**2 - delta), which depends only on m
+and the parity of u:
 
-partition the integers.  The first family takes the value 2*(i-1); the
-last two depend on m:
+    m in {2, 6}:  1 for u even, 0 for u odd
+    m in {3, 7}:  0 for u even, 1 for u odd
+    m == 5:       0 for u even, 2 for u odd
 
-    class at 2**(ell-1) - h:  m in {2, 6} -> 2*(ell-1)
-                              m in {3, 7} -> 2*ell - 1
-                              m == 5      -> 2*ell
-    class at 2**ell - h:      m in {2, 6} -> 2*ell - 1
-                              m in {3, 5, 7} -> 2*(ell-1)
-
-With ell == 1 the value is decided by the parity of n together with
-(m, b mod 4); see _level_one_values.  A shared factor 2**i pulled out
-during reduction adds i to every value.
+This one rule covers every ell >= 1.  The value depends on t mod 2**ell,
+hence on n mod 2**ell, which is the period.  A shared factor 2**i pulled
+out during reduction adds i to every value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import inverse_mod_pow2
+from .arith import inverse_mod_pow2, nu2
 from .classify import Classification, classify
 from .poly import DomainError, QuadraticPoly
 
 _NO_TABLE_MSG = "sequence is unbounded; no period table"
 _NO_CLOSED_FORM_MSG = "sequence is unbounded; no closed form"
+
+# m -> (value for u even, value for u odd) above 2*(ell-1); see the module docstring.
+_FINAL = {2: (1, 0), 6: (1, 0), 3: (0, 1), 7: (0, 1), 5: (0, 2)}
 
 
 @dataclass(frozen=True)
@@ -56,51 +53,25 @@ class PeriodTable:
         return self.entries[n % self.period]
 
 
-def _level_one_values(m: int, b_mod4: int) -> tuple[int, int]:
-    """(value on even n, value on odd n) for ell == 1, before offset.
+def _ell_m(cls: Classification, message: str) -> tuple[int, int] | None:
+    """(ell, m) of a non-constant bounded sequence, None for a constant one.
 
-    Write k = b/2, so k**2 - a*c = delta and f(n) = (a*n + k)**2 - delta
-    up to the completed square.  When a*n + k is even the value is
-    -delta mod 4: valuation 1 for even delta (m in {2, 6}), 0 for odd
-    delta.  When a*n + k is odd it is 1 - delta mod 8: valuation 0 for
-    m in {2, 6}, 1 for m in {3, 7}, 2 for m = 5.  b mod 4 decides which
-    parity of n makes a*n + k even.
+    Raises DomainError with message when the sequence is unbounded.
     """
-    if m == 5:
-        on_k_parity = (0, 2)
-    elif m in (2, 6):
-        on_k_parity = (1, 0)
-    else:  # m in (3, 7)
-        on_k_parity = (0, 1)
-    return on_k_parity if b_mod4 == 0 else (on_k_parity[1], on_k_parity[0])
-
-
-def _residue_classes(cls: Classification) -> list[tuple[int, int, int]]:
-    """The (modulus exponent, residue, value) classes for ell >= 2."""
-    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.m is not None
-    ell, m = cls.disc.ell, cls.disc.m
-    a, b = cls.reduced.a, cls.reduced.b
-    h = b // 2
-    ainv = inverse_mod_pow2(a, ell)
-    classes = []
-    for i in range(1, ell):
-        classes.append((i, (ainv * ((1 << (i - 1)) - h)) % (1 << i), 2 * (i - 1)))
-    low = (ainv * ((1 << (ell - 1)) - h)) % (1 << ell)
-    high = (ainv * ((1 << ell) - h)) % (1 << ell)
-    if m == 5:
-        low_val, high_val = 2 * ell, 2 * (ell - 1)
-    elif m in (3, 7):
-        low_val, high_val = 2 * ell - 1, 2 * (ell - 1)
-    else:  # m in (2, 6)
-        low_val, high_val = 2 * (ell - 1), 2 * ell - 1
-    classes.append((ell, low, low_val))
-    classes.append((ell, high, high_val))
-    return classes
-
-
-def _require_bounded(cls: Classification, message: str) -> None:
     if not cls.case_tag.is_bounded:
         raise DomainError(message)
+    if cls.case_tag.is_constant:
+        return None
+    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.m is not None
+    return cls.disc.ell, cls.disc.m
+
+
+def _completed_square_value(t: int, ell: int, m: int) -> int:
+    """nu2(t**2 - 4**(ell-1) * delta) for delta == m (mod 8)."""
+    k = nu2(t)
+    if k < ell - 1:
+        return 2 * k
+    return 2 * (ell - 1) + _FINAL[m][(t >> (ell - 1)) & 1]
 
 
 def closed_form_valuation(f: QuadraticPoly, n: int, *, classification: Classification | None = None) -> int:
@@ -110,53 +81,48 @@ def closed_form_valuation(f: QuadraticPoly, n: int, *, classification: Classific
     classification avoids reclassifying in hot loops.
     """
     cls = classification if classification is not None else classify(f)
-    _require_bounded(cls, _NO_CLOSED_FORM_MSG)
-    if cls.case_tag.is_constant:
+    ell_m = _ell_m(cls, _NO_CLOSED_FORM_MSG)
+    if ell_m is None:
         return cls.even_offset
-    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.m is not None
-    if cls.disc.ell == 1:
-        even_val, odd_val = _level_one_values(cls.disc.m, cls.reduced.b % 4)
-        return cls.even_offset + (odd_val if n % 2 else even_val)
-    hits = [v for (i, r, v) in _residue_classes(cls) if n % (1 << i) == r]
-    assert len(hits) == 1, f"residue classes failed to partition at n={n}"
-    return cls.even_offset + hits[0]
+    f0 = cls.reduced
+    return cls.even_offset + _completed_square_value(f0.a * n + f0.b // 2, *ell_m)
 
 
 def period_table(f: QuadraticPoly, *, classification: Classification | None = None) -> PeriodTable:
     """The full table of one minimal period.
 
-    Building it also proves, via assertions, that the residue classes
-    tile the period exactly once.
+    Each class of t = a*n + h the rule tells apart, t == 2**(i-1) (mod
+    2**i) for i = 1 .. ell and t == 0 (mod 2**ell), is one residue class
+    of n and fills one slice.  Building the table also proves, via an
+    assertion, that these classes tile the period exactly once.
     """
     cls = classification if classification is not None else classify(f)
-    _require_bounded(cls, _NO_TABLE_MSG)
+    ell_m = _ell_m(cls, _NO_TABLE_MSG)
     off = cls.even_offset
-    if cls.case_tag.is_constant:
+    if ell_m is None:
         return PeriodTable(0, 1, off, (off,))
-    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.m is not None
-    ell = cls.disc.ell
+    ell, m = ell_m
     period = 1 << ell
-    if ell == 1:
-        even_val, odd_val = _level_one_values(cls.disc.m, cls.reduced.b % 4)
-        return PeriodTable(1, 2, off, (off + even_val, off + odd_val))
+    h = cls.reduced.b // 2
+    ainv = inverse_mod_pow2(cls.reduced.a, ell)
     entries: list[int | None] = [None] * period
-    for i, r, v in _residue_classes(cls):
-        for slot in range(r, period, 1 << i):
-            assert entries[slot] is None, f"residue classes overlap at {slot}"
-            entries[slot] = off + v
-    assert all(e is not None for e in entries), "residue classes missed a slot"
+    written = 0
+    for i, t in [(i, 1 << (i - 1)) for i in range(1, ell + 1)] + [(ell, 0)]:
+        step = 1 << i
+        entries[(ainv * (t - h)) % step :: step] = [off + _completed_square_value(t, ell, m)] * (period >> i)
+        written += period >> i
+    assert written == period and None not in entries, "residue classes failed to tile the period"
     return PeriodTable(ell, period, off, tuple(entries))  # type: ignore[arg-type]
 
 
 def max_valuation(f: QuadraticPoly, *, classification: Classification | None = None) -> int:
     """The largest value a bounded sequence attains (it is attained)."""
     cls = classification if classification is not None else classify(f)
-    _require_bounded(cls, _NO_CLOSED_FORM_MSG)
-    if cls.case_tag.is_constant:
+    ell_m = _ell_m(cls, _NO_CLOSED_FORM_MSG)
+    if ell_m is None:
         return cls.even_offset
-    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.m is not None
-    ell, m = cls.disc.ell, cls.disc.m
-    return cls.even_offset + (2 * ell if m == 5 else 2 * ell - 1)
+    ell, m = ell_m
+    return cls.even_offset + 2 * (ell - 1) + max(_FINAL[m])
 
 
 def is_bounded(f: QuadraticPoly) -> bool:

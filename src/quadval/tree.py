@@ -26,6 +26,7 @@ from enum import Enum
 
 from .arith import INFINITE, Valuation, nu2
 from .classify import Case, Classification, classify
+from .closed_form import closed_form_valuation
 from .poly import DomainError, QuadraticPoly
 
 
@@ -156,11 +157,39 @@ def infinite_branch_residues(
     return sorted(current)
 
 
+def live_branch_count(cls: Classification, level: int) -> int:
+    """How many classes at level (>= 1) of an unbounded sequence's tree
+    still split: one for cases 2 and 3(a), two for case 4, and for case
+    3(b) one up to level ell and two below it."""
+    tag = cls.case_tag
+    if tag in (Case.CASE2_UNBOUNDED, Case.CASE3A_UNBOUNDED):
+        return 1
+    if tag is Case.CASE3B_UNBOUNDED:
+        assert cls.disc is not None and cls.disc.ell is not None
+        return 1 if level <= cls.disc.ell else 2
+    return 2  # case 4
+
+
+def flatten_tree(tree: ValuationTree, period: int) -> list[int | None]:
+    """The values the terminating nodes give to the residues mod period;
+    None where no terminating node covers a residue."""
+    flat: list[int | None] = [None] * period
+    for node in walk(tree.root):
+        if node.status is not NodeStatus.TERMINATING:
+            continue
+        assert isinstance(node.valuation, int)
+        for r in range(node.residue, period, 1 << node.level):
+            flat[r] = node.valuation
+    return flat
+
+
 def is_type_ell_1(tree: ValuationTree) -> bool:
     """Whether a complete tree has the canonical bounded shape: a single
-    live chain along the all-ones residues 2**i - 1, the terminating
-    sibling at each level i < levels carrying valuation 2*(i-1), and the
-    final two leaves labeled according to m.
+    live chain along the all-ones residues 2**i - 1, a terminating
+    sibling 2**(i-1) - 1 at each level i < levels, two terminating leaves
+    on the last level, and every terminating leaf carrying the valuation
+    that the canonical polynomial n**2 + 2n + c0 with the same
+    discriminant and shared factor has on its class.
 
     Raises DomainError for a tree whose construction did not finish.
     """
@@ -169,34 +198,24 @@ def is_type_ell_1(tree: ValuationTree) -> bool:
     cls = classify(tree.poly)
     if cls.case_tag is not Case.CASE3C_BOUNDED:
         return False
-    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.m is not None
-    ell, m = cls.disc.ell, cls.disc.m
+    assert cls.disc is not None and cls.disc.ell is not None and cls.disc.delta is not None
+    ell = cls.disc.ell
     if ell < 2 or tree.levels != ell:
         return False
-    off = cls.even_offset
+    canonical = QuadraticPoly(1, 2, 1 - 4 ** (ell - 1) * cls.disc.delta)
+    canonical_cls = classify(canonical)
     by = nodes_by_level(tree)
-    if m == 5:
-        final = {(1 << (ell - 1)) - 1: 2 * ell, (1 << ell) - 1: 2 * (ell - 1)}
-    elif m in (3, 7):
-        final = {(1 << (ell - 1)) - 1: 2 * ell - 1, (1 << ell) - 1: 2 * (ell - 1)}
-    else:  # m in (2, 6)
-        final = {(1 << (ell - 1)) - 1: 2 * (ell - 1), (1 << ell) - 1: 2 * ell - 1}
     for i in range(1, ell + 1):
         nodes = by.get(i, [])
-        if len(nodes) != 2:
+        if [nd.residue for nd in nodes] != [(1 << (i - 1)) - 1, (1 << i) - 1]:
             return False
-        low, high = nodes
-        if (low.residue, high.residue) != ((1 << (i - 1)) - 1, (1 << i) - 1):
+        leaves = nodes if i == ell else nodes[:1]
+        if i < ell and nodes[1].status is not NodeStatus.NON_TERMINATING:
             return False
-        if i < ell:
-            if low.status is not NodeStatus.TERMINATING or low.valuation != 2 * (i - 1) + off:
+        for leaf in leaves:
+            if leaf.status is not NodeStatus.TERMINATING:
                 return False
-            if high.status is not NodeStatus.NON_TERMINATING:
+            expected = cls.even_offset + closed_form_valuation(canonical, leaf.residue, classification=canonical_cls)
+            if leaf.valuation != expected:
                 return False
-        else:
-            for leaf in (low, high):
-                if leaf.status is not NodeStatus.TERMINATING:
-                    return False
-                if leaf.valuation != final[leaf.residue] + off:
-                    return False
     return True

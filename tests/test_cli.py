@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from helpers import F4_TABLE, parse_dot, run_cli
+from quadval import QuadraticPoly, nu2
 
 
 def test_classify_bounded_text():
@@ -296,6 +297,19 @@ def test_ops_json():
     ]
     deepest = [e for e in payload["residue_map"] if e["level"] == 5]
     assert {(e["canonical_residue"], e["residue"]) for e in deepest} == {(15, 31), (31, 15)}
+
+
+def test_ops_show_canonical_at_large_ell():
+    # ℓ = 64, m = 5: a period of 2**64, of which the map lists 65 residues
+    f = QuadraticPoly(1, 2, 1 - 5 * 4**63)
+    code, out, _ = run_cli(["ops", "-a", "1", "-b", "2", "-c", str(f.c), "--show-canonical"])
+    assert code == 0
+    assert f"canonical: {f}" in out
+    rows = [line for line in out.splitlines() if line.startswith("  level ")]
+    assert len(rows) == 65
+    for row in rows:
+        t = int(row.split(": ")[1].split(" -> ")[0])
+        assert row.endswith(f"(ν={nu2(f(t))})")
 
 
 def test_ops_unbounded_is_domain_error():

@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import F1, F3, F4, F4_TABLE, sample_with
 from quadval import (
@@ -123,3 +125,59 @@ def test_closed_form_matches_oracle_windows():
         cls = classify(f)
         for n in range(4 * cls.period):
             assert closed_form_valuation(f, n, classification=cls) == nu2(f(n))
+
+
+COEFF_BITS = 200
+big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
+
+
+@st.composite
+def bounded_polys(draw):
+    """Case-3(c) polynomials with big coefficients, scaled by 2**i.
+
+    a is odd and b = 2h even.  Either c is drawn freely and the case is
+    assumed, or ell and m are drawn and c solves h**2 - a*c = 4**(ell-1)
+    * delta, with delta == m (mod 8) and delta == h**2 / 4**(ell-1)
+    (mod a) so that a divides; free draws rarely give ell above 3.
+    """
+    shift = draw(st.integers(min_value=0, max_value=4))
+    a, h = 2 * draw(big_ints) + 1, draw(big_ints)
+    if draw(st.booleans()):
+        c = draw(big_ints)
+    else:
+        ell = draw(st.integers(min_value=1, max_value=100))
+        m = draw(st.sampled_from([2, 3, 5, 6, 7]))
+        mod = abs(a)
+        d0 = h * h * pow(4 ** (ell - 1), -1, mod) % mod
+        delta = d0 + mod * ((m - d0) * pow(mod, -1, 8) % 8 + 8 * draw(big_ints))
+        c = (h * h - 4 ** (ell - 1) * delta) // a
+    f = QuadraticPoly(a << shift, (2 * h) << shift, c << shift)
+    cls = classify(f)
+    assume(cls.case_tag is Case.CASE3C_BOUNDED)
+    return f, cls
+
+
+@given(fc=bounded_polys(), n=st.integers(min_value=-(1 << 256), max_value=1 << 256))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_nu2_on_big_coefficients(fc, n):
+    f, cls = fc
+    assert closed_form_valuation(f, n, classification=cls) == nu2(f(n))
+    assert closed_form_valuation(f, -n, classification=cls) == nu2(f(-n))
+    # a random n rarely lands in the two deepest classes, a*n + b/2 == 0 or
+    # 2**(ell-1) (mod 2**ell), where the value depends on m; visit both
+    f0, period = cls.reduced, cls.period
+    for t in (0, period // 2):
+        deep = pow(f0.a, -1, period) * (t - f0.b // 2) % period + n * period
+        assert closed_form_valuation(f, deep, classification=cls) == nu2(f(deep))
+
+
+@given(fc=bounded_polys())
+@settings(max_examples=100, deadline=None)
+def test_table_matches_closed_form_on_big_coefficients(fc):
+    f, cls = fc
+    assume(cls.period <= 1 << 12)
+    table = period_table(f, classification=cls)
+    assert table.entries == tuple(closed_form_valuation(f, r, classification=cls) for r in range(cls.period))
+    top = max(table.entries)
+    assert max_valuation(f, classification=cls) == top
+    assert table.entries.count(top) == 1

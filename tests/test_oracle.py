@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import quadval
 from helpers import F1, F1_VALS, F2, F2_VALS, F3, F3_VALS, F4, F4_VALS
 from quadval import INFINITE, QuadraticPoly, empirical_period, valuation_sequence
 
@@ -55,3 +59,16 @@ def test_empirical_period_needs_enough_room():
 def test_empirical_period_unbounded_is_none():
     assert empirical_period(F1, 256) is None
     assert empirical_period(F2, 256) is None
+
+
+@pytest.mark.parametrize("module", ["classify", "closed_form", "tree", "operators"])
+def test_structural_modules_never_import_the_oracle(module):
+    source = Path(quadval.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "oracle" in name.split(".")]

@@ -14,11 +14,7 @@ from .arith import (
     Valuation,
     factor_discriminant,
     inverse_mod_pow2,
-    is_square_in_Z2,
-    nu,
     nu2,
-    nu_product_check,
-    nu_rational,
 )
 from .classify import Case, Classification, classify, constant_valuation, reduce_even
 from .closed_form import (
@@ -62,12 +58,8 @@ __all__ = [
     "INFINITE",
     "Valuation",
     "DiscFactorization",
-    "nu",
     "nu2",
-    "nu_rational",
-    "nu_product_check",
     "factor_discriminant",
-    "is_square_in_Z2",
     "inverse_mod_pow2",
     "DomainError",
     "QuadraticPoly",

@@ -1,4 +1,5 @@
-"""Integer 2-adic (and general p-adic) helpers.
+"""Integer 2-adic helpers: nu2, the valuation of zero, discriminant
+factoring and inverses modulo powers of two.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so no special big-number handling is needed anywhere else in the package.
@@ -7,7 +8,6 @@ so no special big-number handling is needed anywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class _InfiniteValuation:
@@ -53,51 +53,6 @@ INFINITE = _InfiniteValuation()
 
 Valuation = int | _InfiniteValuation
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def nu(p: int, n: int) -> Valuation:
-    """p-adic valuation of the integer n, with nu(p, 0) == INFINITE.
-
-    p must be prime; that is checked because a composite base would
-    silently give a non-additive "valuation".
-    """
-    if not _is_prime(p):
-        raise ValueError(f"valuation base must be prime, got {p}")
-    if n == 0:
-        return INFINITE
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def nu2(n: int) -> Valuation:
     """2-adic valuation of n.  nu2(0) == INFINITE.
 
@@ -107,23 +62,6 @@ def nu2(n: int) -> Valuation:
     if n == 0:
         return INFINITE
     return (n & -n).bit_length() - 1
-
-
-def nu_rational(p: int, q: Fraction) -> Valuation:
-    """Valuation extended to rationals: nu(num) - nu(den)."""
-    if q == 0:
-        return INFINITE
-    num = nu(p, q.numerator)
-    den = nu(p, q.denominator)
-    assert isinstance(num, int) and isinstance(den, int)
-    return num - den
-
-
-def nu_product_check(p: int, x: Fraction, y: Fraction) -> bool:
-    """True when nu(x*y) == nu(x) + nu(y) for nonzero rationals x, y."""
-    if x == 0 or y == 0:
-        raise ValueError("additivity of valuations is stated for nonzero values")
-    return nu_rational(p, x * y) == nu_rational(p, x) + nu_rational(p, y)
 
 
 @dataclass(frozen=True)
@@ -149,16 +87,6 @@ def factor_discriminant(d: int) -> DiscFactorization:
     ell = e // 2
     delta = d // (4**ell)
     return DiscFactorization(False, ell, delta, delta % 8)
-
-
-def is_square_in_Z2(a: int) -> bool:
-    """Whether an odd integer is a square of a 2-adic integer.
-
-    Odd squares are exactly the residues 1 mod 8.
-    """
-    if a % 2 == 0:
-        raise ValueError("squareness test is for odd integers only")
-    return a % 8 == 1
 
 
 def inverse_mod_pow2(a: int, i: int) -> int:

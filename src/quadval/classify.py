@@ -45,11 +45,15 @@ class Case(Enum):
 
     @property
     def is_constant(self) -> bool:
-        return self in (Case.CASE1_CONST_ZERO, Case.CASE5_CONST_ZERO)
+        return self in _CONSTANT
 
     @property
     def is_bounded(self) -> bool:
-        return self.is_constant or self is Case.CASE3C_BOUNDED
+        return self in _BOUNDED
+
+
+_CONSTANT = (Case.CASE1_CONST_ZERO, Case.CASE5_CONST_ZERO)
+_BOUNDED = _CONSTANT + (Case.CASE3C_BOUNDED,)
 
 
 @dataclass(frozen=True)

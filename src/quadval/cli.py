@@ -35,6 +35,7 @@ from .tree import (
     flatten_tree,
     infinite_branch_residues,
     live_branch_count,
+    node_status,
     nodes_by_level,
     walk,
 )
@@ -44,6 +45,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_PARTIAL_FAILURE = 4
+
+# JSON trees nest two levels per tree level and grow with the square of
+# the depth, so they stop well inside the interpreter's recursion limit.
+MAX_JSON_TREE_DEPTH = 256
 
 
 def _val_json(v: Valuation) -> int | str:
@@ -215,6 +220,10 @@ def cmd_tree(args: argparse.Namespace) -> int:
     f = _poly_from_args(args)
     if args.depth < 1:
         raise ValueError("depth must be at least 1")
+    if args.format == "json" and args.depth > MAX_JSON_TREE_DEPTH:
+        raise ValueError(
+            f"JSON trees are limited to depth {MAX_JSON_TREE_DEPTH}; use --format ascii or dot for deeper trees"
+        )
     tree = build_tree(f, args.depth)
     if args.format == "dot":
         text = render_tree_dot(tree)
@@ -260,6 +269,17 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ verify
 
+def _descent_failures(f: QuadraticPoly, tree: ValuationTree) -> list[str]:
+    """A failure for the first tree node, its status derived from its
+    parent's, that disagrees with node_status, which starts from f."""
+    for nd in walk(tree.root):
+        status = NodeStatus.NON_TERMINATING if nd.status is NodeStatus.DEPTH_CAPPED else nd.status
+        want = node_status(f, nd.level, nd.residue)
+        if (status, nd.valuation) != want:
+            return [f"tree node {nd.residue} mod 2^{nd.level} disagrees with node_status: {want[0].value}, {want[1]}"]
+    return []
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     f = _poly_from_args(args)
     cls = classify(f)
@@ -295,6 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append(f"empirical period {p}, classification predicts {period}")
         ell = cls.disc.ell
         tree = build_tree(f, ell)
+        failures += _descent_failures(f, tree)
         if tree.levels != ell:
             failures.append(f"tree did not close exactly at level {ell}")
         else:
@@ -312,6 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         horizon = args.horizon if args.horizon else 4096
         depth = min(max(horizon.bit_length() - 1, 4), 20)
         tree = build_tree(f, depth)
+        failures += _descent_failures(f, tree)
         pinned = [nd for nd in walk(tree.root) if nd.status is NodeStatus.ROOT_NODE]
         if pinned:
             lines.append(
@@ -354,11 +376,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- batch
 
-def _parse_batch_text(text: str) -> list[tuple[object, tuple[int, int, int] | None, str | None]]:
-    """Yield (position marker, coefficients or None, error or None)."""
-    items: list[tuple[object, tuple[int, int, int] | None, str | None]] = []
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+def _parse_batch_text(text: str) -> tuple[str, list[tuple[int, tuple[int, int, int] | None, str | None]]]:
+    """The position key ("index" or "line") and, per record, (position,
+    coefficients or None, error or None)."""
+    items: list[tuple[int, tuple[int, int, int] | None, str | None]] = []
+    if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -367,22 +389,15 @@ def _parse_batch_text(text: str) -> list[tuple[object, tuple[int, int, int] | No
             raise ValueError("JSON input must be an array")
         for idx, entry in enumerate(data):
             if isinstance(entry, dict) and all(k in entry for k in ("a", "b", "c")):
-                try:
-                    coeffs = tuple(int(entry[k]) for k in ("a", "b", "c"))
-                except (TypeError, ValueError):
-                    items.append((idx, None, "coefficients must be integers"))
-                    continue
-                items.append((idx, coeffs, None))  # type: ignore[arg-type]
-            elif isinstance(entry, list) and len(entry) == 3:
-                try:
-                    coeffs = tuple(int(x) for x in entry)
-                except (TypeError, ValueError):
-                    items.append((idx, None, "coefficients must be integers"))
-                    continue
-                items.append((idx, coeffs, None))  # type: ignore[arg-type]
-            else:
+                entry = [entry[k] for k in ("a", "b", "c")]
+            elif not (isinstance(entry, list) and len(entry) == 3):
                 items.append((idx, None, "expected {a, b, c} or [a, b, c]"))
-        return items
+                continue
+            if all(type(x) is int for x in entry):
+                items.append((idx, tuple(entry), None))  # type: ignore[arg-type]
+            else:
+                items.append((idx, None, "coefficients must be integers"))
+        return "index", items
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -398,25 +413,25 @@ def _parse_batch_text(text: str) -> list[tuple[object, tuple[int, int, int] | No
             items.append((lineno, None, f"expected three integers, got {line!r}"))
             continue
         items.append((lineno, coeffs, None))  # type: ignore[arg-type]
-    return items
+    return "line", items
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
+    key, items = _parse_batch_text(text)
     out_lines = []
     had_error = False
-    for marker, coeffs, err in _parse_batch_text(text):
-        key = "index" if isinstance(marker, int) and text.lstrip().startswith("[") else "line"
+    for pos, coeffs, err in items:
         if err is not None:
             had_error = True
-            out_lines.append(json.dumps({key: marker, "error": err}, ensure_ascii=False))
+            out_lines.append(json.dumps({key: pos, "error": err}, ensure_ascii=False))
             continue
         assert coeffs is not None
         try:
             cls = classify(QuadraticPoly(*coeffs))
         except ValueError as exc:
             had_error = True
-            record = {key: marker, "a": coeffs[0], "b": coeffs[1], "c": coeffs[2], "error": str(exc)}
+            record = {key: pos, "a": coeffs[0], "b": coeffs[1], "c": coeffs[2], "error": str(exc)}
             out_lines.append(json.dumps(record, ensure_ascii=False))
             continue
         out_lines.append(json.dumps(classification_record(cls), ensure_ascii=False))

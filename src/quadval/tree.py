@@ -1,22 +1,20 @@
 """Valuation trees.
 
 A node at level i is the residue class n == r (mod 2**i).  Substituting
-n = 2**i * q + r turns f into a quadratic in q,
-
-    g(q) = 4**i * a * q**2  +  2**i * (2*a*r + b) * q  +  f(r),
-
-and the class is inspected through g.  Pull the largest shared power of
-two out of g's coefficients, g = 2**w * g1.  If g1 has an odd constant
-term and an even sum of leading and middle coefficients then g1 takes
-odd values everywhere, so nu2(f(n)) == w on the whole class: the node
-terminates with valuation w.  Otherwise the class splits into its two
-subclasses mod 2**(i+1).  A class whose base point is a root of f
-(f(r) == 0) is frozen as a leaf with infinite valuation: the valuations
-over that class are unbounded but never settle, since the root sits
-inside it at every depth.
-
-Bounded sequences give finite trees (every branch terminates); unbounded
-ones refine forever, so construction takes a depth cap.
+n = 2**i * q + r turns f into g(q) = A*q**2 + B*q + C, where A = 4**i * a,
+B = 2**i * (2*a*r + b) and C = f(r), and the class is inspected through
+g.  Pull the largest shared power of two out of g's coefficients,
+g = 2**w * g1.  If g1 has an odd constant term and an even sum of leading
+and middle coefficients then g1 takes odd values everywhere, so
+nu2(f(n)) == w on the whole class: the node terminates with valuation w.
+Otherwise the class splits into its two subclasses mod 2**(i+1), whose
+polynomials g(2q) = (4A, 2B, C) and g(2q+1) = (4A, 4A + 2B, A + B + C)
+come from the parent's, so trees grow level by level without going back
+to f.  A class whose base point is a root of f (C == 0) is frozen as a
+leaf with infinite valuation: the valuations over that class are
+unbounded but never settle, since the root sits inside it at every
+depth.  Bounded sequences give finite trees; unbounded ones refine
+forever, so construction takes a depth cap.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from enum import Enum
 from .arith import INFINITE, Valuation, nu2
 from .classify import Case, Classification, classify
 from .closed_form import closed_form_valuation
+from .operators import canonical_residue_map
 from .poly import DomainError, QuadraticPoly
 
 
@@ -37,16 +36,29 @@ class NodeStatus(Enum):
     DEPTH_CAPPED = "depth_capped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TreeNode:
     """One residue class.  valuation is set for TERMINATING (the constant
-    value on the class) and ROOT_NODE (INFINITE), otherwise None."""
+    value on the class) and ROOT_NODE (INFINITE), otherwise None.  Nodes
+    compare and hash by pre-order and print one level, never recursing."""
 
     level: int
     residue: int
     status: NodeStatus
     valuation: Valuation | None
     children: tuple["TreeNode", ...]
+
+    def _preorder(self) -> tuple:
+        return tuple((nd.level, nd.residue, nd.status, nd.valuation, len(nd.children)) for nd in walk(self))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TreeNode) and self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        return f"TreeNode({self.level}, {self.residue}, {self.status}, {self.valuation}, {len(self.children)} children)"
 
 
 @dataclass(frozen=True)
@@ -61,65 +73,75 @@ class ValuationTree:
     levels: int | None
 
 
+def _node_law(big_a: int, big_b: int, big_c: int) -> tuple[NodeStatus, Valuation | None]:
+    """The status of a class from the coefficients (A, B, C) of its g."""
+    if big_c == 0:
+        return NodeStatus.ROOT_NODE, INFINITE
+    w = nu2(big_a | big_b | big_c)
+    assert isinstance(w, int)
+    if (big_c >> w) & 1 and not ((big_a + big_b) >> w) & 1:
+        return NodeStatus.TERMINATING, w
+    return NodeStatus.NON_TERMINATING, None
+
+
+def _split(i: int, r: int, big_a: int, big_b: int, big_c: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The subclasses of n == r (mod 2**i) as (residue, A, B, C) of g(2q), g(2q + 1)."""
+    a4 = 4 * big_a
+    return (r, a4, 2 * big_b, big_c), (r + (1 << i), a4, a4 + 2 * big_b, big_a + big_b + big_c)
+
+
 def node_status(f: QuadraticPoly, i: int, r: int) -> tuple[NodeStatus, Valuation | None]:
     """Decide the fate of the class n == r (mod 2**i) without expanding it."""
     if i < 0:
         raise ValueError("level must be nonnegative")
     if not 0 <= r < (1 << i):
         raise ValueError(f"residue {r} is out of range for level {i}")
-    big_a = (4**i) * f.a
-    big_b = (1 << i) * (2 * f.a * r + f.b)
-    big_c = f(r)
-    if big_c == 0:
-        return NodeStatus.ROOT_NODE, INFINITE
-    w = min(nu2(big_a), nu2(big_b), nu2(big_c))
-    assert isinstance(w, int)
-    s = 1 << w
-    a1, b1, c1 = big_a // s, big_b // s, big_c // s
-    if c1 % 2 != 0 and (a1 + b1) % 2 == 0:
-        return NodeStatus.TERMINATING, w
-    return NodeStatus.NON_TERMINATING, None
+    return _node_law((4**i) * f.a, (1 << i) * (2 * f.a * r + f.b), f(r))
 
 
 def build_tree(f: QuadraticPoly, depth_cap: int = 32) -> ValuationTree:
-    """Expand the tree, cutting unresolved branches at depth_cap."""
+    """Expand the tree level by level, cutting unresolved branches at depth_cap."""
     if depth_cap < 0:
         raise ValueError("depth cap must be nonnegative")
+    rows: list[list[tuple[int, NodeStatus, Valuation | None]]] = []
+    frontier = [(0, f.a, f.b, f.c)]
     complete = True
-    deepest = 0
-
-    def expand(i: int, r: int) -> TreeNode:
-        nonlocal complete, deepest
-        deepest = max(deepest, i)
-        status, val = node_status(f, i, r)
-        if status is NodeStatus.TERMINATING:
-            return TreeNode(i, r, status, val, ())
-        if status is NodeStatus.ROOT_NODE:
-            complete = False
-            return TreeNode(i, r, status, val, ())
-        if i == depth_cap:
-            complete = False
-            return TreeNode(i, r, NodeStatus.DEPTH_CAPPED, None, ())
-        children = (expand(i + 1, r), expand(i + 1, r + (1 << i)))
-        return TreeNode(i, r, status, None, children)
-
-    root = expand(0, 0)
-    return ValuationTree(f, root, depth_cap, deepest if complete else None)
+    while frontier:
+        i, row, below = len(rows), [], []
+        for r, big_a, big_b, big_c in frontier:
+            status, val = _node_law(big_a, big_b, big_c)
+            if status is NodeStatus.NON_TERMINATING and i == depth_cap:
+                status = NodeStatus.DEPTH_CAPPED
+            if status is NodeStatus.NON_TERMINATING:
+                below.extend(_split(i, r, big_a, big_b, big_c))
+            elif status is not NodeStatus.TERMINATING:
+                complete = False
+            row.append((r, status, val))
+        rows.append(row)
+        frontier = below
+    nodes: list[TreeNode] = []
+    for i in reversed(range(len(rows))):
+        kids = iter(nodes)
+        nodes = [
+            TreeNode(i, r, status, val, (next(kids), next(kids)) if status is NodeStatus.NON_TERMINATING else ())
+            for r, status, val in rows[i]
+        ]
+    return ValuationTree(f, nodes[0], depth_cap, len(rows) - 1 if complete else None)
 
 
 def walk(node: TreeNode):
     """Yield node and all its descendants, parents first."""
-    yield node
-    for child in node.children:
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def nodes_by_level(tree: ValuationTree) -> dict[int, list[TreeNode]]:
     out: dict[int, list[TreeNode]] = {}
-    for node in walk(tree.root):
+    for node in sorted(walk(tree.root), key=lambda nd: (nd.level, nd.residue)):
         out.setdefault(node.level, []).append(node)
-    for nodes in out.values():
-        nodes.sort(key=lambda nd: nd.residue)
     return out
 
 
@@ -128,11 +150,10 @@ def infinite_branch_residues(
 ) -> list[int]:
     """Residues mod 2**bits of the classes that refine forever.
 
-    The result always has exactly classification.infinite_branches
-    entries, sorted; when two branches still agree at this precision the
-    shared residue appears twice.  Descent continues through classes
-    pinned by an integer root, so those branches are located at full
-    precision too.
+    The result has exactly classification.infinite_branches entries,
+    sorted; when two branches still agree at this precision the shared
+    residue appears twice.  Descent continues through classes pinned by
+    an integer root, so those branches are located at full precision.
     """
     if bits < 1:
         raise ValueError("bits must be at least 1")
@@ -140,21 +161,14 @@ def infinite_branch_residues(
     if cls.case_tag.is_bounded:
         raise DomainError("the valuation sequence is bounded; there are no infinite branches")
     expected = cls.infinite_branches
-    current = [0]
-    for level in range(1, bits + 1):
-        step = 1 << (level - 1)
-        nxt = []
-        for r in current:
-            for child in (r, r + step):
-                status, _ = node_status(f, level, child)
-                if status in (NodeStatus.NON_TERMINATING, NodeStatus.ROOT_NODE):
-                    nxt.append(child)
-        assert nxt, "an unbounded sequence lost every live branch"
-        assert len(nxt) <= expected, "more live branches than 2-adic roots"
-        current = nxt
-    while len(current) < expected:
-        current.append(current[0])
-    return sorted(current)
+    live = [(0, f.a, f.b, f.c)]
+    for i in range(bits):
+        children = [child for node in live for child in _split(i, *node)]
+        live = [child for child in children if _node_law(*child[1:])[0] is not NodeStatus.TERMINATING]
+        assert live, "an unbounded sequence lost every live branch"
+        assert len(live) <= expected, "more live branches than 2-adic roots"
+    residues = [r for r, *_ in live]
+    return sorted(residues + residues[:1] * (expected - len(residues)))
 
 
 def live_branch_count(cls: Classification, level: int) -> int:
@@ -162,12 +176,10 @@ def live_branch_count(cls: Classification, level: int) -> int:
     still split: one for cases 2 and 3(a), two for case 4, and for case
     3(b) one up to level ell and two below it."""
     tag = cls.case_tag
-    if tag in (Case.CASE2_UNBOUNDED, Case.CASE3A_UNBOUNDED):
-        return 1
     if tag is Case.CASE3B_UNBOUNDED:
         assert cls.disc is not None and cls.disc.ell is not None
         return 1 if level <= cls.disc.ell else 2
-    return 2  # case 4
+    return 1 if tag in (Case.CASE2_UNBOUNDED, Case.CASE3A_UNBOUNDED) else 2
 
 
 def flatten_tree(tree: ValuationTree, period: int) -> list[int | None]:
@@ -175,22 +187,19 @@ def flatten_tree(tree: ValuationTree, period: int) -> list[int | None]:
     None where no terminating node covers a residue."""
     flat: list[int | None] = [None] * period
     for node in walk(tree.root):
-        if node.status is not NodeStatus.TERMINATING:
-            continue
-        assert isinstance(node.valuation, int)
-        for r in range(node.residue, period, 1 << node.level):
-            flat[r] = node.valuation
+        if node.status is NodeStatus.TERMINATING:
+            assert isinstance(node.valuation, int)
+            step = 1 << node.level
+            flat[node.residue :: step] = [node.valuation] * len(range(node.residue, period, step))
     return flat
 
 
 def is_type_ell_1(tree: ValuationTree) -> bool:
-    """Whether a complete tree has the canonical bounded shape: a single
-    live chain along the all-ones residues 2**i - 1, a terminating
-    sibling 2**(i-1) - 1 at each level i < levels, two terminating leaves
-    on the last level, and every terminating leaf carrying the valuation
-    that the canonical polynomial n**2 + 2n + c0 with the same
-    discriminant and shared factor has on its class.
-
+    """Whether a complete tree has the canonical bounded shape: its
+    terminating leaves are those canonical_residue_map lists, each with
+    the valuation that the canonical polynomial n**2 + 2n + c0 of the
+    same discriminant, plus the shared factor, has there.  The leaves of
+    a complete tree fix all its nodes, so this pins the live chain too.
     Raises DomainError for a tree whose construction did not finish.
     """
     if tree.levels is None:
@@ -200,22 +209,12 @@ def is_type_ell_1(tree: ValuationTree) -> bool:
         return False
     assert cls.disc is not None and cls.disc.ell is not None and cls.disc.delta is not None
     ell = cls.disc.ell
-    if ell < 2 or tree.levels != ell:
+    if ell < 2:
         return False
     canonical = QuadraticPoly(1, 2, 1 - 4 ** (ell - 1) * cls.disc.delta)
     canonical_cls = classify(canonical)
-    by = nodes_by_level(tree)
-    for i in range(1, ell + 1):
-        nodes = by.get(i, [])
-        if [nd.residue for nd in nodes] != [(1 << (i - 1)) - 1, (1 << i) - 1]:
-            return False
-        leaves = nodes if i == ell else nodes[:1]
-        if i < ell and nodes[1].status is not NodeStatus.NON_TERMINATING:
-            return False
-        for leaf in leaves:
-            if leaf.status is not NodeStatus.TERMINATING:
-                return False
-            expected = cls.even_offset + closed_form_valuation(canonical, leaf.residue, classification=canonical_cls)
-            if leaf.valuation != expected:
-                return False
-    return True
+    leaves = {(nd.level, nd.residue): nd.valuation for nd in walk(tree.root) if nd.status is NodeStatus.TERMINATING}
+    return leaves == {
+        (level, t): cls.even_offset + closed_form_valuation(canonical, t, classification=canonical_cls)
+        for level, t, _ in canonical_residue_map(tree.poly, classification=cls)
+    }

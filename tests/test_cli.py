@@ -153,6 +153,33 @@ def test_tree_depth_validation():
     assert "depth" in err
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "dot"])
+def test_tree_deeper_than_the_recursion_limit(tmp_path, fmt):
+    path = tmp_path / f"tree.{fmt}"
+    argv = ["tree", "-a", "13", "-b", "12", "-c", "-28", "--depth", "2048", "--format", fmt, "--output", str(path)]
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    text = path.read_text(encoding="utf-8")
+    if fmt == "ascii":
+        lines = text.splitlines()
+        depths = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+        levels = set(depths)
+        assert [d for line, d in zip(lines, depths) if line.endswith("…")] == [2048, 2048]
+    else:
+        nodes, _ = parse_dot(text)
+        levels = {int(nid[1:].split("_")[0]) for nid in nodes}
+    assert levels == set(range(2049))
+
+
+def test_tree_json_depth_bound():
+    code, out, err = run_cli(["tree", "-a", "13", "-b", "12", "-c", "-28", "--depth", "257", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert "256" in err
+    code, out, _ = run_cli(["tree", "-a", "13", "-b", "12", "-c", "-28", "--depth", "256", "--format", "json"])
+    assert code == 0 and json.loads(out)["depth_cap"] == 256
+
+
 def test_seq_csv_reference_rows(tmp_path):
     code, out, _ = run_cli(["seq", "-a", "15", "-b", "1142", "-c", "25559", "--count", "16"])
     assert code == 0
@@ -210,6 +237,19 @@ def test_verify_unbounded_passes():
     assert "result: PASS" in out
 
 
+def test_verify_checks_the_tree_against_node_status(monkeypatch):
+    import quadval.tree
+
+    def split_without_4a_in_b(i, r, big_a, big_b, big_c):
+        return (r, 4 * big_a, 2 * big_b, big_c), (r + (1 << i), 4 * big_a, 2 * big_b, big_a + big_b + big_c)
+
+    monkeypatch.setattr(quadval.tree, "_split", split_without_4a_in_b)
+    for coeffs in (["5", "106", "1125"], ["4", "13", "-25"]):
+        code, out, _ = run_cli(["verify", "-a", coeffs[0], "-b", coeffs[1], "-c", coeffs[2]])
+        assert code == 1
+        assert "disagrees with node_status" in out and "result: FAIL" in out
+
+
 def test_verify_constant():
     code, out, _ = run_cli(["verify", "-a", "1", "-b", "1", "-c", "1", "--horizon", "500"])
     assert code == 0
@@ -258,6 +298,15 @@ def test_batch_json_array(tmp_path):
     assert records[0]["case"] == "3(c)"
     assert records[1]["case"] == "2"
     assert records[2]["index"] == 2 and "error" in records[2]
+
+
+def test_batch_json_rejects_non_integer_coefficients(tmp_path):
+    path = tmp_path / "polys.json"
+    path.write_text('[[1.9, 2, 3], [true, 2, 3], {"a": "7", "b": 2, "c": 3}]', encoding="utf-8")
+    code, out, _ = run_cli(["batch", "--input", str(path)])
+    assert code == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records == [{"index": i, "error": "coefficients must be integers"} for i in range(3)]
 
 
 def test_batch_missing_file():

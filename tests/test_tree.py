@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import F1, F2, F4, F4_TABLE, double_root_outside_Z, make_case2, make_case3b
 from quadval import (
@@ -9,6 +11,7 @@ from quadval import (
     DomainError,
     NodeStatus,
     QuadraticPoly,
+    TreeNode,
     build_tree,
     classify,
     infinite_branch_residues,
@@ -167,3 +170,87 @@ def test_case3b_single_then_double():
     for level in range(1, 9):
         live = [n for n in by[level] if n.status in (NodeStatus.NON_TERMINATING, NodeStatus.DEPTH_CAPPED)]
         assert len(live) == (1 if level <= cls.disc.ell else 2)
+
+
+COEFF_BITS = 200
+big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
+nonzero_big_ints = big_ints.filter(lambda n: n != 0)
+
+
+@st.composite
+def polys(draw):
+    """Coefficients of up to 200 bits, scaled by 2**i (i <= 4).  Half the
+    draws are free; the other half are k*(n - r1)*(p*n - r2), which has
+    the integer root r1, often small enough to pin a node of a shallow tree."""
+    shift = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        a, b, c = draw(nonzero_big_ints), draw(big_ints), draw(big_ints)
+    else:
+        k, p, r2 = draw(nonzero_big_ints), draw(nonzero_big_ints), draw(big_ints)
+        r1 = draw(st.integers(min_value=0, max_value=1 << 12) | big_ints)
+        a, b, c = k * p, -k * (p * r1 + r2), k * r1 * r2
+    return QuadraticPoly(a << shift, b << shift, c << shift)
+
+
+def preorder(node):
+    return [node] + [nd for child in node.children for nd in preorder(child)]
+
+
+@given(f=polys(), depth=st.integers(min_value=0, max_value=12))
+@settings(max_examples=300, deadline=None)
+def test_tree_nodes_carry_node_status(f, depth):
+    tree = build_tree(f, depth)
+    nodes = list(walk(tree.root))
+    assert nodes == preorder(tree.root)
+    for node in nodes:
+        status, val = node_status(f, node.level, node.residue)
+        if node.status is NodeStatus.DEPTH_CAPPED:
+            assert (node.level, status, node.valuation) == (depth, NodeStatus.NON_TERMINATING, None)
+        else:
+            assert (node.status, node.valuation) == (status, val)
+        if node.status is NodeStatus.NON_TERMINATING:
+            step = 1 << node.level
+            assert [(ch.level, ch.residue) for ch in node.children] == [
+                (node.level + 1, node.residue),
+                (node.level + 1, node.residue + step),
+            ]
+        else:
+            assert node.children == ()
+    closed = all(nd.status in (NodeStatus.TERMINATING, NodeStatus.NON_TERMINATING) for nd in nodes)
+    assert tree.levels == (max(nd.level for nd in nodes) if closed else None)
+
+
+def test_deep_trees_compare_hash_and_print():
+    f = QuadraticPoly(13, 12, -28)
+    one, two = build_tree(f, 2048), build_tree(f, 2048)
+    assert one.root is not two.root and one == two and hash(one) == hash(two)
+    assert build_tree(f, 2047).root != one.root
+    assert repr(one.root) == "TreeNode(0, 0, NodeStatus.NON_TERMINATING, None, 2 children)"
+    assert repr(one.root) in repr(one)
+    # Equal pre-orders of (level, residue, status, valuation) alone do not make equal trees.
+    leaf, open_node = TreeNode(1, 1, NodeStatus.TERMINATING, 0, ()), NodeStatus.NON_TERMINATING
+    nested = TreeNode(0, 0, open_node, None, (TreeNode(1, 0, open_node, None, (leaf,)),))
+    assert nested != TreeNode(0, 0, open_node, None, (TreeNode(1, 0, open_node, None, ()), leaf))
+
+
+def descent_by_node_status(f, bits, branches):
+    """infinite_branch_residues the slow way: node_status on both
+    subclasses of every live class, level by level."""
+    live = [0]
+    for level in range(1, bits + 1):
+        live = [
+            r
+            for parent in live
+            for r in (parent, parent + (1 << (level - 1)))
+            if node_status(f, level, r)[0] is not NodeStatus.TERMINATING
+        ]
+    return sorted(live + live[:1] * (branches - len(live)))
+
+
+@given(f=polys(), bits=st.integers(min_value=1, max_value=64))
+@settings(max_examples=300, deadline=None)
+def test_branch_residues_match_descent_by_node_status(f, bits):
+    cls = classify(f)
+    assume(not cls.case_tag.is_bounded)
+    expected = descent_by_node_status(f, bits, cls.infinite_branches)
+    assert infinite_branch_residues(f, bits, classification=cls) == expected

@@ -20,7 +20,6 @@ from .classify import Case, Classification, classify, constant_valuation, reduce
 from .closed_form import (
     PeriodTable,
     closed_form_valuation,
-    is_bounded,
     max_valuation,
     period_table,
 )
@@ -31,7 +30,8 @@ from .operators import (
     canonical_residue_map,
     canonicalize_to_type_ell_1,
     dilate,
-    s_operator,
+    s_backward,
+    s_forward,
     table_s_law,
     table_translate_law,
     translate,
@@ -72,7 +72,6 @@ __all__ = [
     "closed_form_valuation",
     "period_table",
     "max_valuation",
-    "is_bounded",
     "NodeStatus",
     "TreeNode",
     "ValuationTree",
@@ -88,7 +87,8 @@ __all__ = [
     "OperatorDescriptor",
     "translate",
     "dilate",
-    "s_operator",
+    "s_forward",
+    "s_backward",
     "apply_operators",
     "table_translate_law",
     "table_s_law",

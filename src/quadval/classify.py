@@ -54,6 +54,8 @@ class Case(Enum):
 
 _CONSTANT = (Case.CASE1_CONST_ZERO, Case.CASE5_CONST_ZERO)
 _BOUNDED = _CONSTANT + (Case.CASE3C_BOUNDED,)
+# one infinite branch per 2-adic root of f; the other cases have none
+_INFINITE_BRANCHES = {Case.CASE2_UNBOUNDED: 1, Case.CASE3A_UNBOUNDED: 1, Case.CASE3B_UNBOUNDED: 2, Case.CASE4_UNBOUNDED: 2}
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,8 @@ class Classification:
     poly is the input, reduced the polynomial after dividing out the
     largest shared power of two (2**even_offset).  disc is the factored
     discriminant of the reduced polynomial when the case consults it
-    (case 3), otherwise None.  period is the minimal period of the
-    valuation sequence for bounded cases, None for unbounded ones.
-    infinite_branches counts residue classes that refine forever.
+    (case 3), otherwise None.  period and infinite_branches follow from
+    the case.
     """
 
     poly: QuadraticPoly
@@ -73,8 +74,20 @@ class Classification:
     even_offset: int
     case_tag: Case
     disc: DiscFactorization | None
-    period: int | None
-    infinite_branches: int
+
+    @property
+    def period(self) -> int | None:
+        """The minimal period: 1 for a constant case, 2**ell for case
+        3(c), None for an unbounded sequence."""
+        if self.case_tag is Case.CASE3C_BOUNDED:
+            assert self.disc is not None and self.disc.ell is not None
+            return 1 << self.disc.ell
+        return 1 if self.case_tag.is_constant else None
+
+    @property
+    def infinite_branches(self) -> int:
+        """How many residue classes refine forever."""
+        return _INFINITE_BRANCHES.get(self.case_tag, 0)
 
 
 def reduce_even(f: QuadraticPoly) -> tuple[int, QuadraticPoly]:
@@ -100,37 +113,22 @@ def classify(f: QuadraticPoly) -> Classification:
         # c must be odd, or the reduction would have gone further
         assert c_odd
         tag = Case.CASE1_CONST_ZERO
-        period: int | None = 1
-        branches = 0
     elif not a_odd:
         tag = Case.CASE2_UNBOUNDED
-        period = None
-        branches = 1
-    elif a_odd and not b_odd:
+    elif not b_odd:
         disc = factor_discriminant(f0.discriminant)
         if disc.is_zero:
             tag = Case.CASE3A_UNBOUNDED
-            period = None
-            branches = 1
         elif disc.m == 1:
             tag = Case.CASE3B_UNBOUNDED
-            period = None
-            branches = 2
         else:
-            assert disc.ell is not None and disc.ell >= 1
             tag = Case.CASE3C_BOUNDED
-            period = 1 << disc.ell
-            branches = 0
     elif not c_odd:
         tag = Case.CASE4_UNBOUNDED
-        period = None
-        branches = 2
     else:
         tag = Case.CASE5_CONST_ZERO
-        period = 1
-        branches = 0
 
-    return Classification(f, f0, offset, tag, disc, period, branches)
+    return Classification(f, f0, offset, tag, disc)
 
 
 def constant_valuation(cls: Classification) -> int | None:

@@ -36,7 +36,6 @@ from .tree import (
     infinite_branch_residues,
     live_branch_count,
     node_status,
-    nodes_by_level,
     walk,
 )
 
@@ -49,6 +48,15 @@ EXIT_PARTIAL_FAILURE = 4
 # JSON trees nest two levels per tree level and grow with the square of
 # the depth, so they stop well inside the interpreter's recursion limit.
 MAX_JSON_TREE_DEPTH = 256
+
+# table, seq and verify list or brute-force one value per n; no request
+# may ask for more than this many.
+MAX_VALUES = 2**20
+
+
+def _check_size(what: str, count: int) -> None:
+    if count > MAX_VALUES:
+        raise ValueError(f"{what} {count} exceeds the limit of {MAX_VALUES} values")
 
 
 def _val_json(v: Valuation) -> int | str:
@@ -139,6 +147,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     f = _poly_from_args(args)
     cls = classify(f)
+    if cls.period is not None:
+        _check_size("period", cls.period)
     table = period_table(f, classification=cls)
     if args.format == "json":
         payload = {
@@ -249,6 +259,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     f = _poly_from_args(args)
     if args.count < 1:
         raise ValueError("count must be at least 1")
+    _check_size("count", args.count)
     seq = valuation_sequence(f, args.start, args.count)
     if args.format == "json":
         rows = [
@@ -285,9 +296,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cls = classify(f)
     lines = [f"f(n) = {f}", "classification: " + describe_classification(cls)]
     failures: list[str] = []
+    period = cls.period if cls.case_tag is Case.CASE3C_BOUNDED else None
+    horizon = args.horizon or (4 * period if period else 4096)
+    window = max(horizon, 4 * period) if period else horizon  # the longest brute-force run
+    _check_size("brute-force window", window)
 
     if cls.case_tag.is_constant:
-        horizon = args.horizon if args.horizon else 4096
         seq = valuation_sequence(f, 0, horizon)
         off = cls.even_offset
         bad = next((n for n, v in enumerate(seq.values) if v != off), None)
@@ -295,10 +309,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"ok: valuation constant at {off} on [0, {horizon})")
         else:
             failures.append(f"valuation at n={bad} is {seq.values[bad]}, expected the constant {off}")
-    elif cls.case_tag is Case.CASE3C_BOUNDED:
-        assert cls.period is not None and cls.disc is not None and cls.disc.ell is not None
-        period = cls.period
-        horizon = args.horizon if args.horizon else 4 * period
+    elif period is not None:
+        assert cls.disc is not None and cls.disc.ell is not None
         table = period_table(f, classification=cls)
         seq = valuation_sequence(f, 0, horizon)
         bad = next((n for n in range(horizon) if seq.values[n] != table.value_at(n)), None)
@@ -308,7 +320,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append(
                 f"closed form gives {table.value_at(bad)} at n={bad}, brute force gives {seq.values[bad]}"
             )
-        p = empirical_period(f, max(horizon, 4 * period, 4))
+        p = empirical_period(f, window)
         if p == period:
             lines.append(f"ok: empirical minimal period {p}")
         else:
@@ -330,35 +342,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             failures.append(f"table maximum {max(table.entries)} differs from predicted {mx}")
     else:
-        horizon = args.horizon if args.horizon else 4096
         depth = min(max(horizon.bit_length() - 1, 4), 20)
         tree = build_tree(f, depth)
         failures += _descent_failures(f, tree)
-        pinned = [nd for nd in walk(tree.root) if nd.status is NodeStatus.ROOT_NODE]
-        if pinned:
-            lines.append(
-                f"note: integer root pins a branch from level {pinned[0].level}; live counts not checked"
-            )
-        else:
-            by = nodes_by_level(tree)
-            bad_level = None
-            for level in range(1, depth + 1):
-                live = [
-                    nd
-                    for nd in by.get(level, [])
-                    if nd.status in (NodeStatus.NON_TERMINATING, NodeStatus.DEPTH_CAPPED)
-                ]
-                if len(live) != live_branch_count(cls, level):
-                    bad_level = (level, len(live))
-                    break
-            if bad_level is None:
-                lines.append(f"ok: live branch counts match on levels 1..{depth}")
-            else:
-                failures.append(
-                    f"level {bad_level[0]} has {bad_level[1]} live branches, "
-                    f"expected {live_branch_count(cls, bad_level[0])}"
-                )
+        # every live class holds a 2-adic root, so the branch residues
+        # reduced mod 2**level count the live classes of that level
         residues = infinite_branch_residues(f, depth, classification=cls)
+        counts = [(level, len({r % (1 << level) for r in residues})) for level in range(1, depth + 1)]
+        bad_level = next(((lv, n) for lv, n in counts if n != live_branch_count(cls, lv)), None)
+        if bad_level is None:
+            lines.append(f"ok: live branch counts match on levels 1..{depth}")
+        else:
+            failures.append(
+                f"level {bad_level[0]} has {bad_level[1]} live branches, "
+                f"expected {live_branch_count(cls, bad_level[0])}"
+            )
         shown = ", ".join(str(r) for r in residues)
         lines.append(f"infinite branch residues mod 2^{depth}: {shown}")
         if all(nu2(f(r)) >= depth for r in residues):

@@ -123,7 +123,3 @@ def max_valuation(f: QuadraticPoly, *, classification: Classification | None = N
         return cls.even_offset
     ell, m = ell_m
     return cls.even_offset + 2 * (ell - 1) + max(_FINAL[m])
-
-
-def is_bounded(f: QuadraticPoly) -> bool:
-    return classify(f).case_tag.is_bounded

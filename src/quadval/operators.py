@@ -4,9 +4,9 @@ translate(f, s) shifts the argument: the result evaluated at n equals
 f(n - s), so a period table shifts by s.  dilate(f, s) scales it: the
 result at n equals f(s * n); for odd s this permutes each period.
 
-s_operator implements the substitution trick that makes any bounded
-polynomial monic.  Backward, (a, b, c) becomes (1, b, a*c); forward,
-a monic (1, b, a*c) is folded back to (a, b, c).  Both directions keep
+s_backward and s_forward implement the substitution trick that makes
+any bounded polynomial monic.  Backward, (a, b, c) becomes (1, b, a*c);
+forward, a monic (1, b, a*c) is folded back to (a, b, c).  Both keep
 the discriminant, and for odd positive a the valuation sequences are
 related by nu2(forward(f)(n)) == nu2(f(a * n)), which is the dilation
 by a.  That identity holds whether or not the forward image has integer
@@ -48,8 +48,8 @@ class OperatorDescriptor:
         if self.kind is OperatorKind.DILATE:
             return dilate(f, self.param)
         if self.kind is OperatorKind.S_FORWARD:
-            return s_operator(f, self.param, "forward")
-        return s_operator(f, self.param, "backward")
+            return s_forward(f, self.param)
+        return s_backward(f, self.param)
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.param})"
@@ -72,20 +72,22 @@ def _check_s_param(a: int) -> None:
         raise ValueError("the substitution parameter must be a positive odd integer")
 
 
-def s_operator(f: QuadraticPoly, a: int, direction: str) -> QuadraticPoly:
-    """Forward: (1, b, a*c) -> (a, b, c).  Backward: (a, b, c) -> (1, b, a*c)."""
+def s_forward(f: QuadraticPoly, a: int) -> QuadraticPoly:
+    """(1, b, a*c) -> (a, b, c)."""
     _check_s_param(a)
-    if direction == "forward":
-        if f.a != 1:
-            raise DomainError("forward substitution is defined for monic polynomials")
-        if f.c % a != 0:
-            raise DomainError(f"constant term {f.c} is not divisible by {a}")
-        return QuadraticPoly(a, f.b, f.c // a)
-    if direction == "backward":
-        if f.a != a:
-            raise DomainError(f"backward substitution with parameter {a} needs leading coefficient {a}")
-        return QuadraticPoly(1, f.b, f.a * f.c)
-    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if f.a != 1:
+        raise DomainError("forward substitution is defined for monic polynomials")
+    if f.c % a != 0:
+        raise DomainError(f"constant term {f.c} is not divisible by {a}")
+    return QuadraticPoly(a, f.b, f.c // a)
+
+
+def s_backward(f: QuadraticPoly, a: int) -> QuadraticPoly:
+    """(a, b, c) -> (1, b, a*c)."""
+    _check_s_param(a)
+    if f.a != a:
+        raise DomainError(f"backward substitution with parameter {a} needs leading coefficient {a}")
+    return QuadraticPoly(1, f.b, f.a * f.c)
 
 
 def apply_operators(ops: list[OperatorDescriptor], f: QuadraticPoly) -> QuadraticPoly:
@@ -94,18 +96,19 @@ def apply_operators(ops: list[OperatorDescriptor], f: QuadraticPoly) -> Quadrati
     return f
 
 
+def _tables_agree(f: QuadraticPoly, g: QuadraticPoly, *, unit: int = 1, shift: int = 0) -> bool:
+    """Whether g's period table holds f's entry for r at unit^(-1) * r +
+    shift mod the period.  period_table raises DomainError for an
+    unbounded f."""
+    t1, t2 = period_table(f), period_table(g)
+    p, uinv = t1.period, inverse_mod_pow2(unit, t1.ell)
+    return t2.period == p and all(t2.entries[(uinv * r + shift) % p] == t1.entries[r] for r in range(p))
+
+
 def table_translate_law(f: QuadraticPoly, s: int) -> bool:
     """Whether the period table of translate(f, s) is f's table shifted
     by s: shifted.entries[(r + s) % period] == original.entries[r]."""
-    cls = classify(f)
-    if not cls.case_tag.is_bounded:
-        raise DomainError("period tables exist only for bounded sequences")
-    t1 = period_table(f, classification=cls)
-    t2 = period_table(translate(f, s))
-    if t2.period != t1.period:
-        return False
-    p = t1.period
-    return all(t2.entries[(r + s) % p] == t1.entries[r] for r in range(p))
+    return _tables_agree(f, translate(f, s), shift=s)
 
 
 def table_s_law(f: QuadraticPoly, a: int) -> bool:
@@ -118,19 +121,17 @@ def table_s_law(f: QuadraticPoly, a: int) -> bool:
     _check_s_param(a)
     if f.a != 1:
         raise DomainError("the substitution law is stated for monic polynomials")
-    cls = classify(f)
-    if not cls.case_tag.is_bounded:
-        raise DomainError("period tables exist only for bounded sequences")
-    t1 = period_table(f, classification=cls)
-    g = s_operator(f, a, "forward") if f.c % a == 0 else dilate(f, a)
-    t2 = period_table(g)
-    if t2.period != t1.period:
-        return False
-    p = t1.period
-    if p == 1:
-        return t2.entries == t1.entries
-    ainv = inverse_mod_pow2(a, t1.ell)
-    return all(t2.entries[(ainv * r) % p] == t1.entries[r] for r in range(p))
+    return _tables_agree(f, s_forward(f, a) if f.c % a == 0 else dilate(f, a), unit=a)
+
+
+def _canonical_ell(cls: Classification) -> int:
+    """ell of a sequence that has a canonical form: case 3(c) with ell >= 2."""
+    if cls.case_tag is not Case.CASE3C_BOUNDED:
+        raise DomainError("the canonical form exists only for bounded, non-constant sequences")
+    assert cls.disc is not None and cls.disc.ell is not None
+    if cls.disc.ell < 2:
+        raise DomainError("the canonical form needs period at least 4")
+    return cls.disc.ell
 
 
 def canonicalize_to_type_ell_1(
@@ -146,11 +147,7 @@ def canonicalize_to_type_ell_1(
     coefficient after reduction.
     """
     cls = classification if classification is not None else classify(f)
-    if cls.case_tag is not Case.CASE3C_BOUNDED:
-        raise DomainError("the canonical form exists only for bounded, non-constant sequences")
-    assert cls.disc is not None and cls.disc.ell is not None
-    if cls.disc.ell < 2:
-        raise DomainError("the canonical form needs period at least 4")
+    _canonical_ell(cls)
     f0 = cls.reduced
     if f0.a < 0:
         raise DomainError(
@@ -158,7 +155,7 @@ def canonicalize_to_type_ell_1(
             "negating all three coefficients leaves every valuation unchanged"
         )
     s = f0.b // 2 - 1
-    monic = s_operator(f0, f0.a, "backward")
+    monic = s_backward(f0, f0.a)
     g = translate(monic, s)
     ops = [
         OperatorDescriptor(OperatorKind.TRANSLATE, -s),
@@ -182,12 +179,7 @@ def canonical_residue_map(
     even-reduced form of f.
     """
     cls = classification if classification is not None else classify(f)
-    if cls.case_tag is not Case.CASE3C_BOUNDED:
-        raise DomainError("the canonical form exists only for bounded, non-constant sequences")
-    assert cls.disc is not None and cls.disc.ell is not None
-    ell = cls.disc.ell
-    if ell < 2:
-        raise DomainError("the canonical form needs period at least 4")
+    ell = _canonical_ell(cls)
     a, b = cls.reduced.a, cls.reduced.b
     shift = 1 - b // 2
     out = []

@@ -173,13 +173,13 @@ def infinite_branch_residues(
 
 def live_branch_count(cls: Classification, level: int) -> int:
     """How many classes at level (>= 1) of an unbounded sequence's tree
-    still split: one for cases 2 and 3(a), two for case 4, and for case
-    3(b) one up to level ell and two below it."""
-    tag = cls.case_tag
-    if tag is Case.CASE3B_UNBOUNDED:
+    still split: one per infinite branch, except that the two branches
+    of case 3(b) share one class down to level ell."""
+    if cls.case_tag is Case.CASE3B_UNBOUNDED:
         assert cls.disc is not None and cls.disc.ell is not None
-        return 1 if level <= cls.disc.ell else 2
-    return 1 if tag in (Case.CASE2_UNBOUNDED, Case.CASE3A_UNBOUNDED) else 2
+        if level <= cls.disc.ell:
+            return 1
+    return cls.infinite_branches
 
 
 def flatten_tree(tree: ValuationTree, period: int) -> list[int | None]:

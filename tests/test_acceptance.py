@@ -43,7 +43,8 @@ from quadval import (
     nodes_by_level,
     nu2,
     period_table,
-    s_operator,
+    s_backward,
+    s_forward,
     table_s_law,
     table_translate_law,
     translate,
@@ -245,7 +246,7 @@ def test_criterion_7_operator_laws_and_canonicalization():
         assert table_translate_law(f, s)
         assert g.discriminant == f.discriminant
 
-        h = s_operator(f, f.a, "backward")
+        h = s_backward(f, f.a)
         assert h == QuadraticPoly(1, f.b, f.a * f.c)
         assert all(nu2(f(n)) == nu2(h(f.a * n)) for n in range(17))
         assert table_s_law(h, f.a)

@@ -250,6 +250,59 @@ def test_verify_checks_the_tree_against_node_status(monkeypatch):
         assert "disagrees with node_status" in out and "result: FAIL" in out
 
 
+def test_verify_counts_live_branches_below_an_integer_root():
+    # n**2 - 1 has the integer roots 1 and -1, so its tree pins a class at level 1
+    code, out, _ = run_cli(["verify", "-a", "1", "-b", "0", "-c", "-1"])
+    assert code == 0
+    assert "ok: live branch counts match on levels 1..12" in out.splitlines()
+    assert "note" not in out and "result: PASS" in out
+
+
+def test_verify_reports_a_wrong_live_branch_count(monkeypatch):
+    import quadval.cli
+
+    law = quadval.cli.live_branch_count
+    monkeypatch.setattr(quadval.cli, "live_branch_count", lambda cls, level: law(cls, level) + 1)
+    code, out, _ = run_cli(["verify", "-a", "1", "-b", "0", "-c", "-1"])
+    assert code == 1
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL: ") and "live branches" in ln]
+
+
+ELL_64 = ["-a", "1", "-b", "2", "-c", str(1 - 5 * 4**63)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", *ELL_64],
+        ["table", *ELL_64, "--format", "json"],
+        ["verify", *ELL_64],
+        ["verify", *ELL_64, "--horizon", "16"],
+        ["seq", "-a", "1", "-b", "2", "-c", "5", "--count", "1048577"],
+        ["verify", "-a", "4", "-b", "13", "-c", "-25", "--horizon", "1048577"],
+    ],
+)
+def test_oversize_requests_exit_before_any_work(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert "exceeds the limit of 1048576 values" in err
+
+
+def test_size_limit_admits_exactly_max_values(monkeypatch):
+    import quadval.cli
+
+    monkeypatch.setattr(quadval.cli, "MAX_VALUES", 64)
+    ell_6, ell_7 = ["-a", "1", "-b", "2", "-c", str(1 - 5 * 4**5)], ["-a", "1", "-b", "2", "-c", str(1 - 5 * 4**6)]
+    ell_4, ell_5 = ["-a", "1", "-b", "2", "-c", str(1 - 5 * 4**3)], ["-a", "1", "-b", "2", "-c", str(1 - 5 * 4**4)]
+    unbounded = ["-a", "4", "-b", "13", "-c", "-25"]
+    assert run_cli(["table", *ell_6])[0] == 0 and run_cli(["table", *ell_7])[0] == 2
+    assert run_cli(["verify", *ell_4])[0] == 0 and run_cli(["verify", *ell_5])[0] == 2
+    assert run_cli(["verify", *unbounded, "--horizon", "64"])[0] == 0
+    assert run_cli(["verify", *unbounded, "--horizon", "65"])[0] == 2
+    assert run_cli(["seq", *unbounded, "--count", "64"])[0] == 0
+    assert run_cli(["seq", *unbounded, "--count", "65"])[0] == 2
+
+
 def test_verify_constant():
     code, out, _ = run_cli(["verify", "-a", "1", "-b", "1", "-c", "1", "--horizon", "500"])
     assert code == 0

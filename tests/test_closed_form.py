@@ -11,7 +11,6 @@ from quadval import (
     QuadraticPoly,
     classify,
     closed_form_valuation,
-    is_bounded,
     max_valuation,
     nu2,
     period_table,
@@ -61,8 +60,6 @@ def test_unbounded_raises():
         closed_form_valuation(F1, 3)
     with pytest.raises(DomainError, match="unbounded"):
         max_valuation(QuadraticPoly(1, 1, 2))
-    assert not is_bounded(F1)
-    assert is_bounded(F4)
 
 
 # one polynomial for each (m, b mod 4) pair at the single-level case

@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import F1, F4, sample_with
 from quadval import (
@@ -18,7 +20,8 @@ from quadval import (
     is_type_ell_1,
     nu2,
     period_table,
-    s_operator,
+    s_backward,
+    s_forward,
     table_s_law,
     table_translate_law,
     translate,
@@ -50,30 +53,28 @@ def test_dilate_examples():
 
 
 def test_s_operator_directions():
-    assert s_operator(QuadraticPoly(1, 106, 5625), 5, "forward") == QuadraticPoly(5, 106, 1125)
-    assert s_operator(QuadraticPoly(5, 106, 1125), 5, "backward") == QuadraticPoly(1, 106, 5625)
-    back = s_operator(F4, 5, "backward")
-    assert s_operator(back, 5, "forward") == F4
+    assert s_forward(QuadraticPoly(1, 106, 5625), 5) == QuadraticPoly(5, 106, 1125)
+    assert s_backward(QuadraticPoly(5, 106, 1125), 5) == QuadraticPoly(1, 106, 5625)
+    back = s_backward(F4, 5)
+    assert s_forward(back, 5) == F4
 
 
 def test_s_operator_validation():
     with pytest.raises(ValueError):
-        s_operator(QuadraticPoly(1, 2, 6), 4, "forward")
+        s_forward(QuadraticPoly(1, 2, 6), 4)
     with pytest.raises(ValueError):
-        s_operator(QuadraticPoly(1, 2, 6), -3, "forward")
+        s_forward(QuadraticPoly(1, 2, 6), -3)
     with pytest.raises(DomainError):
-        s_operator(QuadraticPoly(2, 2, 6), 3, "forward")  # not monic
+        s_forward(QuadraticPoly(2, 2, 6), 3)  # not monic
     with pytest.raises(DomainError):
-        s_operator(QuadraticPoly(1, 2, 5), 3, "forward")  # 3 does not divide 5
+        s_forward(QuadraticPoly(1, 2, 5), 3)  # 3 does not divide 5
     with pytest.raises(DomainError):
-        s_operator(QuadraticPoly(5, 2, 5), 3, "backward")  # leading must equal 3
-    with pytest.raises(ValueError):
-        s_operator(QuadraticPoly(1, 2, 6), 3, "sideways")
+        s_backward(QuadraticPoly(5, 2, 5), 3)  # leading must equal 3
 
 
 def test_s_forward_matches_dilation_valuations():
     f = QuadraticPoly(1, 106, 5625)
-    g = s_operator(f, 5, "forward")
+    g = s_forward(f, 5)
     assert all(nu2(g(n)) == nu2(f(5 * n)) for n in range(64))
 
 
@@ -180,4 +181,47 @@ def test_discriminant_preserved_by_ops():
         assert translate(f, rng.randint(-30, 30)).discriminant == f.discriminant
         s = 2 * rng.randint(1, 15) + 1
         assert dilate(f, s).discriminant == s * s * f.discriminant
-        assert s_operator(f, f.a, "backward").discriminant == f.discriminant
+        assert s_backward(f, f.a).discriminant == f.discriminant
+
+
+COEFF_BITS = 200
+big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
+
+
+@st.composite
+def small_period_polys(draw):
+    """Case-3(c) polynomials with coefficients of up to 200 bits and
+    ell <= 10, scaled by 2**i (i <= 4): a is odd, b = 2h, and c solves
+    h**2 - a*c = 4**(ell-1) * delta with delta == m (mod 8) and delta ==
+    h**2 / 4**(ell-1) (mod a), so that a divides."""
+    shift = draw(st.integers(min_value=0, max_value=4))
+    a, h = 2 * draw(big_ints) + 1, draw(big_ints)
+    ell = draw(st.integers(min_value=1, max_value=10))
+    m = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    mod = abs(a)
+    d0 = h * h * pow(4 ** (ell - 1), -1, mod) % mod
+    delta = d0 + mod * ((m - d0) * pow(mod, -1, 8) % 8 + 8 * draw(big_ints))
+    c = (h * h - 4 ** (ell - 1) * delta) // a
+    return QuadraticPoly(a << shift, (2 * h) << shift, c << shift)
+
+
+@given(f=small_period_polys(), s=big_ints, odd=st.integers(min_value=0, max_value=1 << 70))
+@settings(max_examples=150, deadline=None)
+def test_operator_laws_and_canonical_chain_on_big_coefficients(f, s, odd):
+    cls = classify(f)
+    assert cls.case_tag is Case.CASE3C_BOUNDED and cls.disc.ell <= 10
+    assert table_translate_law(f, s)
+    f0 = cls.reduced
+    # negating all three coefficients leaves every valuation unchanged
+    pos = f0 if f0.a > 0 else QuadraticPoly(-f0.a, -f0.b, -f0.c)
+    monic = s_backward(pos, pos.a)
+    assert s_forward(monic, pos.a) == pos
+    assert table_s_law(monic, pos.a)  # pos.a divides the constant term
+    assert table_s_law(monic, 2 * odd + 1)
+    if cls.disc.ell < 2 or f0.a < 0:
+        with pytest.raises(DomainError):
+            canonicalize_to_type_ell_1(f, classification=cls)
+        return
+    g, chain = canonicalize_to_type_ell_1(f, classification=cls)
+    assert (g.a, g.b, g.discriminant) == (1, 2, f0.discriminant)
+    assert apply_operators(chain, g) == f0

@@ -72,3 +72,18 @@ def test_structural_modules_never_import_the_oracle(module):
             imported.add(node.module or "")
             imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
     assert not [name for name in imported if "oracle" in name.split(".")]
+
+
+def test_nothing_in_tree_recurses():
+    # trees thousands of levels deep rely on this; see build_tree and walk
+    source = Path(quadval.__file__).with_name("tree.py").read_text(encoding="utf-8")
+    recursive = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call):
+                    callee = call.func
+                    name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                    if name == fn.name:
+                        recursive.append(fn.name)
+    assert recursive == []

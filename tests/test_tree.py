@@ -16,6 +16,7 @@ from quadval import (
     classify,
     infinite_branch_residues,
     is_type_ell_1,
+    live_branch_count,
     node_status,
     nodes_by_level,
     nu2,
@@ -254,3 +255,15 @@ def test_branch_residues_match_descent_by_node_status(f, bits):
     assume(not cls.case_tag.is_bounded)
     expected = descent_by_node_status(f, bits, cls.infinite_branches)
     assert infinite_branch_residues(f, bits, classification=cls) == expected
+
+
+@given(f=polys())
+@settings(max_examples=300, deadline=None)
+def test_branch_residues_count_the_live_classes(f):
+    # every live class holds a 2-adic root, pinned by an integer root or not
+    cls = classify(f)
+    assume(not cls.case_tag.is_bounded)
+    residues = infinite_branch_residues(f, 24, classification=cls)
+    for level in range(1, 25):
+        assert len({r % (1 << level) for r in residues}) == live_branch_count(cls, level)
+    assert len(infinite_branch_residues(f, 64, classification=cls)) == cls.infinite_branches

@@ -49,7 +49,6 @@ from .tree import (
     live_branch_count,
     node_status,
     nodes_by_level,
-    walk,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "ValuationTree",
     "node_status",
     "build_tree",
-    "walk",
     "nodes_by_level",
     "infinite_branch_residues",
     "is_type_ell_1",

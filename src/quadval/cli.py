@@ -11,7 +11,8 @@ Subcommands:
     ops        canonical form and the operator chain that rebuilds f
 
 Exit codes: 0 success, 1 verification mismatch, 2 bad input, 3 operation
-outside its mathematical domain, 4 batch finished with error records.
+outside its mathematical domain, 4 batch finished with error records,
+5 internal error (an unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .tree import (
     infinite_branch_residues,
     live_branch_count,
     node_status,
-    walk,
 )
 
 EXIT_OK = 0
@@ -44,6 +44,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_PARTIAL_FAILURE = 4
+EXIT_INTERNAL_ERROR = 5
 
 # JSON trees nest two levels per tree level and grow with the square of
 # the depth, so they stop well inside the interpreter's recursion limit.
@@ -171,11 +172,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- tree
 
-def _node_label(node: TreeNode) -> str:
-    if node.level == 0:
+def _node_label(level: int, residue: int) -> str:
+    if level == 0:
         return "n"
-    coef = 1 << node.level
-    return f"{coef}q+{node.residue}" if node.residue else f"{coef}q"
+    coef = 1 << level
+    return f"{coef}q+{residue}" if residue else f"{coef}q"
 
 
 def _node_mark(node: TreeNode) -> str:
@@ -190,40 +191,41 @@ def _node_mark(node: TreeNode) -> str:
 
 def render_tree_ascii(tree: ValuationTree) -> str:
     lines = []
-    for node in walk(tree.root):
-        lines.append(f"{'  ' * node.level}{_node_label(node)}  {_node_mark(node)}")
+    for node in tree.nodes:
+        lines.append(f"{'  ' * node.level}{_node_label(node.level, node.residue)}  {_node_mark(node)}")
     return "\n".join(lines) + "\n"
 
 
 def render_tree_dot(tree: ValuationTree) -> str:
     lines = ["digraph valuation_tree {", "  node [shape=circle];"]
-
-    def nid(node: TreeNode) -> str:
-        return f"n{node.level}_{node.residue}"
-
-    for node in walk(tree.root):
-        mark = _node_mark(node)
-        label = f"{_node_label(node)}\\n{mark}"
+    for node in tree.nodes:
+        nid = f"n{node.level}_{node.residue}"
+        label = f"{_node_label(node.level, node.residue)}\\n{_node_mark(node)}"
         if node.status in (NodeStatus.TERMINATING, NodeStatus.ROOT_NODE):
-            lines.append(f'  {nid(node)} [label="{label}", style=filled];')
+            lines.append(f'  {nid} [label="{label}", style=filled];')
         else:
-            lines.append(f'  {nid(node)} [label="{label}"];')
-        for child in node.children:
-            lines.append(f'  {nid(node)} -> {nid(child)} [label="{_node_label(child)}"];')
+            lines.append(f'  {nid} [label="{label}"];')
+        if node.status is NodeStatus.NON_TERMINATING:
+            i = node.level + 1
+            for r in (node.residue, node.residue + (1 << node.level)):
+                lines.append(f'  {nid} -> n{i}_{r} [label="{_node_label(i, r)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _node_json(node: TreeNode) -> dict:
-    out: dict = {
-        "level": node.level,
-        "residue": node.residue,
-        "status": node.status.value,
-    }
-    if node.valuation is not None:
-        out["valuation"] = _val_json(node.valuation)
-    out["children"] = [_node_json(child) for child in node.children]
-    return out
+def _tree_json(tree: ValuationTree) -> dict:
+    """The root's nested JSON object, in one pass over the pre-order: each
+    node's object joins the children of its parent (i-1, r mod 2**(i-1))."""
+    made: dict[tuple[int, int], dict] = {}
+    for node in tree.nodes:
+        out: dict = {"level": node.level, "residue": node.residue, "status": node.status.value}
+        if node.valuation is not None:
+            out["valuation"] = _val_json(node.valuation)
+        out["children"] = []
+        made[node.level, node.residue] = out
+        if node.level:
+            made[node.level - 1, node.residue % (1 << (node.level - 1))]["children"].append(out)
+    return made[0, 0]
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -244,7 +246,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
             "c": f.c,
             "depth_cap": tree.depth_cap,
             "levels": tree.levels,
-            "root": _node_json(tree.root),
+            "root": _tree_json(tree),
         }
         text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     else:
@@ -283,7 +285,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def _descent_failures(f: QuadraticPoly, tree: ValuationTree) -> list[str]:
     """A failure for the first tree node, its status derived from its
     parent's, that disagrees with node_status, which starts from f."""
-    for nd in walk(tree.root):
+    for nd in tree.nodes:
         status = NodeStatus.NON_TERMINATING if nd.status is NodeStatus.DEPTH_CAPPED else nd.status
         want = node_status(f, nd.level, nd.residue)
         if (status, nd.valuation) != want:
@@ -298,8 +300,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     period = cls.period if cls.case_tag is Case.CASE3C_BOUNDED else None
     horizon = args.horizon or (4 * period if period else 4096)
-    window = max(horizon, 4 * period) if period else horizon  # the longest brute-force run
+    window = max(horizon, 4 * period) if period else horizon  # how many values verify brute-forces
     _check_size("brute-force window", window)
+    if horizon < 0:
+        raise ValueError("count must be nonnegative")
 
     if cls.case_tag.is_constant:
         seq = valuation_sequence(f, 0, horizon)
@@ -312,15 +316,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif period is not None:
         assert cls.disc is not None and cls.disc.ell is not None
         table = period_table(f, classification=cls)
-        seq = valuation_sequence(f, 0, horizon)
-        bad = next((n for n in range(horizon) if seq.values[n] != table.value_at(n)), None)
+        values = valuation_sequence(f, 0, window).values
+        bad = next((n for n in range(horizon) if values[n] != table.value_at(n)), None)
         if bad is None:
             lines.append(f"ok: closed form matches brute force on [0, {horizon})")
         else:
             failures.append(
-                f"closed form gives {table.value_at(bad)} at n={bad}, brute force gives {seq.values[bad]}"
+                f"closed form gives {table.value_at(bad)} at n={bad}, brute force gives {values[bad]}"
             )
-        p = empirical_period(f, window)
+        p = empirical_period(values)
         if p == period:
             lines.append(f"ok: empirical minimal period {p}")
         else:
@@ -542,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def run() -> None:

@@ -9,7 +9,7 @@ polynomial type and the valuation primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .arith import Valuation, nu2
 from .poly import QuadraticPoly
@@ -41,19 +41,19 @@ def valuation_sequence(f: QuadraticPoly, start: int = 0, count: int = 64) -> Val
     return ValuationSequence(f, start, values)
 
 
-def empirical_period(f: QuadraticPoly, horizon: int) -> int | None:
-    """Smallest power of two P <= horizon // 2 with
-    nu2(f(n)) == nu2(f(n + P)) for all n in [0, horizon - P),
-    or None if no such P exists within the horizon.
+def empirical_period(values: Sequence[Valuation]) -> int | None:
+    """Smallest power of two P <= len(values) // 2 with
+    values[n] == values[n + P] for all n in [0, len(values) - P),
+    or None if no such P exists within the values.
 
     Only powers of two are tried; any period of these sequences is one.
     """
+    horizon = len(values)
     if horizon < 4:
-        raise ValueError("horizon must be at least 4")
-    seq = valuation_sequence(f, 0, horizon).values
+        raise ValueError("at least 4 values are needed")
     p = 1
     while p <= horizon // 2:
-        if all(seq[n] == seq[n + p] for n in range(horizon - p)):
+        if all(values[n] == values[n + p] for n in range(horizon - p)):
             return p
         p *= 2
     return None

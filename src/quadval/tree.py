@@ -15,6 +15,10 @@ leaf with infinite valuation: the valuations over that class are
 unbounded but never settle, since the root sits inside it at every
 depth.  Bounded sequences give finite trees; unbounded ones refine
 forever, so construction takes a depth cap.
+
+A tree is stored as its nodes in pre-order, without child links: every
+split has the same shape, so a NON_TERMINATING node (i, r) is followed
+by the subtree of (i+1, r) and then by that of (i+1, r + 2**i).
 """
 
 from __future__ import annotations
@@ -36,39 +40,28 @@ class NodeStatus(Enum):
     DEPTH_CAPPED = "depth_capped"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class TreeNode:
-    """One residue class.  valuation is set for TERMINATING (the constant
-    value on the class) and ROOT_NODE (INFINITE), otherwise None.  Nodes
-    compare and hash by pre-order and print one level, never recursing."""
+    """The residue class n == residue (mod 2**level).  valuation is set
+    for TERMINATING (the constant value on the class) and ROOT_NODE
+    (INFINITE), otherwise None."""
 
     level: int
     residue: int
     status: NodeStatus
     valuation: Valuation | None
-    children: tuple["TreeNode", ...]
-
-    def _preorder(self) -> tuple:
-        return tuple((nd.level, nd.residue, nd.status, nd.valuation, len(nd.children)) for nd in walk(self))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TreeNode) and self._preorder() == other._preorder()
-
-    def __hash__(self) -> int:
-        return hash(self._preorder())
-
-    def __repr__(self) -> str:
-        return f"TreeNode({self.level}, {self.residue}, {self.status}, {self.valuation}, {len(self.children)} children)"
 
 
 @dataclass(frozen=True)
 class ValuationTree:
-    """poly's tree down to depth_cap.  levels is the depth of the deepest
+    """poly's tree down to depth_cap, its nodes in pre-order: a
+    NON_TERMINATING node (i, r) is followed by the subtree of (i+1, r),
+    then by that of (i+1, r + 2**i).  levels is the depth of the deepest
     node when every branch terminated, or None when the tree was cut by
     the cap or pinned by an integer root."""
 
     poly: QuadraticPoly
-    root: TreeNode
+    nodes: tuple[TreeNode, ...]
     depth_cap: int
     levels: int | None
 
@@ -100,47 +93,29 @@ def node_status(f: QuadraticPoly, i: int, r: int) -> tuple[NodeStatus, Valuation
 
 
 def build_tree(f: QuadraticPoly, depth_cap: int = 32) -> ValuationTree:
-    """Expand the tree level by level, cutting unresolved branches at depth_cap."""
+    """Expand the tree depth first, cutting unresolved branches at depth_cap."""
     if depth_cap < 0:
         raise ValueError("depth cap must be nonnegative")
-    rows: list[list[tuple[int, NodeStatus, Valuation | None]]] = []
-    frontier = [(0, f.a, f.b, f.c)]
-    complete = True
-    while frontier:
-        i, row, below = len(rows), [], []
-        for r, big_a, big_b, big_c in frontier:
-            status, val = _node_law(big_a, big_b, big_c)
-            if status is NodeStatus.NON_TERMINATING and i == depth_cap:
-                status = NodeStatus.DEPTH_CAPPED
-            if status is NodeStatus.NON_TERMINATING:
-                below.extend(_split(i, r, big_a, big_b, big_c))
-            elif status is not NodeStatus.TERMINATING:
-                complete = False
-            row.append((r, status, val))
-        rows.append(row)
-        frontier = below
     nodes: list[TreeNode] = []
-    for i in reversed(range(len(rows))):
-        kids = iter(nodes)
-        nodes = [
-            TreeNode(i, r, status, val, (next(kids), next(kids)) if status is NodeStatus.NON_TERMINATING else ())
-            for r, status, val in rows[i]
-        ]
-    return ValuationTree(f, nodes[0], depth_cap, len(rows) - 1 if complete else None)
-
-
-def walk(node: TreeNode):
-    """Yield node and all its descendants, parents first."""
-    stack = [node]
+    stack = [(0, 0, f.a, f.b, f.c)]
+    complete = True
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+        i, r, big_a, big_b, big_c = stack.pop()
+        status, val = _node_law(big_a, big_b, big_c)
+        if status is NodeStatus.NON_TERMINATING and i == depth_cap:
+            status = NodeStatus.DEPTH_CAPPED
+        if status is NodeStatus.NON_TERMINATING:
+            even, odd = _split(i, r, big_a, big_b, big_c)
+            stack += [(i + 1, *odd), (i + 1, *even)]
+        elif status is not NodeStatus.TERMINATING:
+            complete = False
+        nodes.append(TreeNode(i, r, status, val))
+    return ValuationTree(f, tuple(nodes), depth_cap, max(nd.level for nd in nodes) if complete else None)
 
 
 def nodes_by_level(tree: ValuationTree) -> dict[int, list[TreeNode]]:
     out: dict[int, list[TreeNode]] = {}
-    for node in sorted(walk(tree.root), key=lambda nd: (nd.level, nd.residue)):
+    for node in sorted(tree.nodes, key=lambda nd: (nd.level, nd.residue)):
         out.setdefault(node.level, []).append(node)
     return out
 
@@ -163,8 +138,8 @@ def infinite_branch_residues(
     expected = cls.infinite_branches
     live = [(0, f.a, f.b, f.c)]
     for i in range(bits):
-        children = [child for node in live for child in _split(i, *node)]
-        live = [child for child in children if _node_law(*child[1:])[0] is not NodeStatus.TERMINATING]
+        below = [sub for node in live for sub in _split(i, *node)]
+        live = [sub for sub in below if _node_law(*sub[1:])[0] is not NodeStatus.TERMINATING]
         assert live, "an unbounded sequence lost every live branch"
         assert len(live) <= expected, "more live branches than 2-adic roots"
     residues = [r for r, *_ in live]
@@ -186,7 +161,7 @@ def flatten_tree(tree: ValuationTree, period: int) -> list[int | None]:
     """The values the terminating nodes give to the residues mod period;
     None where no terminating node covers a residue."""
     flat: list[int | None] = [None] * period
-    for node in walk(tree.root):
+    for node in tree.nodes:
         if node.status is NodeStatus.TERMINATING:
             assert isinstance(node.valuation, int)
             step = 1 << node.level
@@ -213,7 +188,7 @@ def is_type_ell_1(tree: ValuationTree) -> bool:
         return False
     canonical = QuadraticPoly(1, 2, 1 - 4 ** (ell - 1) * cls.disc.delta)
     canonical_cls = classify(canonical)
-    leaves = {(nd.level, nd.residue): nd.valuation for nd in walk(tree.root) if nd.status is NodeStatus.TERMINATING}
+    leaves = {(nd.level, nd.residue): nd.valuation for nd in tree.nodes if nd.status is NodeStatus.TERMINATING}
     return leaves == {
         (level, t): cls.even_offset + closed_form_valuation(canonical, t, classification=canonical_cls)
         for level, t, _ in canonical_residue_map(tree.poly, classification=cls)

@@ -8,6 +8,8 @@ import math
 import re
 from random import Random
 
+from hypothesis import strategies as st
+
 from quadval import Case, Classification, QuadraticPoly, classify
 from quadval.cli import main as cli_main
 
@@ -134,3 +136,24 @@ def parse_dot(text: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
             if match.group(1) != "node":  # skip the defaults line
                 nodes[match.group(1)] = match.group(2)
     return nodes, edges
+
+
+COEFF_BITS = 200
+big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
+
+
+@st.composite
+def case3c_polys(draw, max_ell: int = 10) -> QuadraticPoly:
+    """Case-3(c) polynomials with coefficients of up to 200 bits and
+    ell <= max_ell, scaled by 2**i (i <= 4): a is odd, b = 2h, and c solves
+    h**2 - a*c = 4**(ell-1) * delta with delta == m (mod 8) and delta ==
+    h**2 / 4**(ell-1) (mod a), so that a divides."""
+    shift = draw(st.integers(min_value=0, max_value=4))
+    a, h = 2 * draw(big_ints) + 1, draw(big_ints)
+    ell = draw(st.integers(min_value=1, max_value=max_ell))
+    m = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    mod = abs(a)
+    d0 = h * h * pow(4 ** (ell - 1), -1, mod) % mod
+    delta = d0 + mod * ((m - d0) * pow(mod, -1, 8) % 8 + 8 * draw(big_ints))
+    c = (h * h - 4 ** (ell - 1) * delta) // a
+    return QuadraticPoly(a << shift, (2 * h) << shift, c << shift)

@@ -48,7 +48,6 @@ from quadval import (
     table_s_law,
     table_translate_law,
     translate,
-    walk,
 )
 
 
@@ -127,9 +126,9 @@ def test_criterion_4_period_is_minimal_at_two_to_the_ell(bounded_suite):
     started = time.perf_counter()
     for f, cls in bounded_suite:
         period = cls.period
-        assert empirical_period(f, 4 * period) == period
+        vals = [nu2(f(n)) for n in range(4 * period)]
+        assert empirical_period(vals) == period
         half = period // 2
-        vals = [nu2(f(n)) for n in range(period)]
         witnesses = [n for n in range(half) if vals[n] != vals[n + half]]
         assert witnesses, f"{f} is constant across a half period"
     assert time.perf_counter() - started < 60.0
@@ -206,7 +205,7 @@ def test_criterion_6_finite_trees_reproduce_period_tables(bounded_suite):
         table = period_table(f, classification=cls)
 
         painted: list = [None] * table.period
-        for node in walk(tree.root):
+        for node in tree.nodes:
             if node.status is not NodeStatus.TERMINATING:
                 continue
             step = 1 << node.level
@@ -215,7 +214,7 @@ def test_criterion_6_finite_trees_reproduce_period_tables(bounded_suite):
                 painted[r] = node.valuation
         assert painted == list(table.entries)
 
-        for node in walk(tree.root):
+        for node in tree.nodes:
             step = 1 << node.level
             samples = [nu2(f(node.residue + k * step)) for k in range(33)]
             if node.status is NodeStatus.TERMINATING:

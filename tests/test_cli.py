@@ -145,6 +145,8 @@ def test_tree_dot_f2_frontier():
     # terminating leaves are filled
     filled = [nid for nid, attrs in nodes.items() if "style=filled" in attrs]
     assert filled and all(nid not in with_children for nid in filled)
+    # every node but the root has exactly one edge in
+    assert sorted(dst for _, dst in edges) == sorted(nid for nid in nodes if nid != "n0_0")
 
 
 def test_tree_depth_validation():
@@ -228,6 +230,9 @@ def test_verify_bounded_passes():
         assert "result: PASS" in out
         assert "ok: closed form matches brute force" in out
         assert "ok: empirical minimal period" in out
+    # the period check always brute-forces four periods, however short the horizon
+    code, out, _ = run_cli(["verify", "-a", "5", "-b", "106", "-c", "1125", "--horizon", "16"])
+    assert code == 0 and "ok: empirical minimal period 32" in out.splitlines()
 
 
 def test_verify_unbounded_passes():
@@ -418,6 +423,18 @@ def test_ops_unbounded_is_domain_error():
     code, _, err = run_cli(["ops", "-a", "4", "-b", "13", "-c", "-25"])
     assert code == 3
     assert "error" in err
+
+
+def test_unexpected_exceptions_exit_5_without_a_traceback(monkeypatch):
+    import quadval.cli
+
+    def broken_build_tree(f, depth_cap=32):
+        raise RuntimeError("tree builder broke")
+
+    monkeypatch.setattr(quadval.cli, "build_tree", broken_build_tree)
+    code, out, err = run_cli(["tree", "-a", "5", "-b", "106", "-c", "1125"])
+    assert (code, out) == (5, "")
+    assert err == "internal error: RuntimeError: tree builder broke\n"
 
 
 def test_output_flag(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, F3, F4, F4_TABLE, sample_with
+from helpers import F1, F3, F4, F4_TABLE, big_ints, case3c_polys, sample_with
 from quadval import (
     Case,
     DomainError,
@@ -124,31 +124,17 @@ def test_closed_form_matches_oracle_windows():
             assert closed_form_valuation(f, n, classification=cls) == nu2(f(n))
 
 
-COEFF_BITS = 200
-big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
-
-
 @st.composite
 def bounded_polys(draw):
-    """Case-3(c) polynomials with big coefficients, scaled by 2**i.
-
-    a is odd and b = 2h even.  Either c is drawn freely and the case is
-    assumed, or ell and m are drawn and c solves h**2 - a*c = 4**(ell-1)
-    * delta, with delta == m (mod 8) and delta == h**2 / 4**(ell-1)
-    (mod a) so that a divides; free draws rarely give ell above 3.
-    """
-    shift = draw(st.integers(min_value=0, max_value=4))
-    a, h = 2 * draw(big_ints) + 1, draw(big_ints)
+    """Case-3(c) polynomials with big coefficients, scaled by 2**i: half
+    the draws take c freely and assume the case (free draws rarely give
+    ell above 3), the other half come from case3c_polys with ell <= 100."""
     if draw(st.booleans()):
-        c = draw(big_ints)
+        shift = draw(st.integers(min_value=0, max_value=4))
+        a, h, c = 2 * draw(big_ints) + 1, draw(big_ints), draw(big_ints)
+        f = QuadraticPoly(a << shift, (2 * h) << shift, c << shift)
     else:
-        ell = draw(st.integers(min_value=1, max_value=100))
-        m = draw(st.sampled_from([2, 3, 5, 6, 7]))
-        mod = abs(a)
-        d0 = h * h * pow(4 ** (ell - 1), -1, mod) % mod
-        delta = d0 + mod * ((m - d0) * pow(mod, -1, 8) % 8 + 8 * draw(big_ints))
-        c = (h * h - 4 ** (ell - 1) * delta) // a
-    f = QuadraticPoly(a << shift, (2 * h) << shift, c << shift)
+        f = draw(case3c_polys(max_ell=100))
     cls = classify(f)
     assume(cls.case_tag is Case.CASE3C_BOUNDED)
     return f, cls

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, F4, sample_with
+from helpers import F1, F4, big_ints, case3c_polys, sample_with
 from quadval import (
     Case,
     DomainError,
@@ -184,28 +184,7 @@ def test_discriminant_preserved_by_ops():
         assert s_backward(f, f.a).discriminant == f.discriminant
 
 
-COEFF_BITS = 200
-big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
-
-
-@st.composite
-def small_period_polys(draw):
-    """Case-3(c) polynomials with coefficients of up to 200 bits and
-    ell <= 10, scaled by 2**i (i <= 4): a is odd, b = 2h, and c solves
-    h**2 - a*c = 4**(ell-1) * delta with delta == m (mod 8) and delta ==
-    h**2 / 4**(ell-1) (mod a), so that a divides."""
-    shift = draw(st.integers(min_value=0, max_value=4))
-    a, h = 2 * draw(big_ints) + 1, draw(big_ints)
-    ell = draw(st.integers(min_value=1, max_value=10))
-    m = draw(st.sampled_from([2, 3, 5, 6, 7]))
-    mod = abs(a)
-    d0 = h * h * pow(4 ** (ell - 1), -1, mod) % mod
-    delta = d0 + mod * ((m - d0) * pow(mod, -1, 8) % 8 + 8 * draw(big_ints))
-    c = (h * h - 4 ** (ell - 1) * delta) // a
-    return QuadraticPoly(a << shift, (2 * h) << shift, c << shift)
-
-
-@given(f=small_period_polys(), s=big_ints, odd=st.integers(min_value=0, max_value=1 << 70))
+@given(f=case3c_polys(), s=big_ints, odd=st.integers(min_value=0, max_value=1 << 70))
 @settings(max_examples=150, deadline=None)
 def test_operator_laws_and_canonical_chain_on_big_coefficients(f, s, odd):
     cls = classify(f)

@@ -40,25 +40,30 @@ def test_sequence_count_validation():
         valuation_sequence(F1, 0, -1)
 
 
+def period_of(f, horizon):
+    return empirical_period(valuation_sequence(f, 0, horizon).values)
+
+
 def test_empirical_period_bounded():
-    assert empirical_period(F4, 256) == 32
-    assert empirical_period(F3, 1024) == 128
-    assert empirical_period(QuadraticPoly(1, 2, 5), 64) == 4
-    assert empirical_period(QuadraticPoly(1, 1, 1), 16) == 1
-    assert empirical_period(QuadraticPoly(2, 4, 6), 64) == 2
+    assert period_of(F4, 256) == 32
+    assert period_of(F3, 1024) == 128
+    assert period_of(QuadraticPoly(1, 2, 5), 64) == 4
+    assert period_of(QuadraticPoly(1, 1, 1), 16) == 1
+    assert period_of(QuadraticPoly(2, 4, 6), 64) == 2
 
 
 def test_empirical_period_needs_enough_room():
     # a horizon of 2 periods is the minimum that can confirm one
-    assert empirical_period(F4, 64) == 32
-    assert empirical_period(F4, 48) is None
+    assert period_of(F4, 64) == 32
+    assert period_of(F4, 48) is None
+    assert period_of(QuadraticPoly(1, 1, 1), 4) == 1
     with pytest.raises(ValueError):
-        empirical_period(F4, 3)
+        empirical_period(F4_VALS[:3])
 
 
 def test_empirical_period_unbounded_is_none():
-    assert empirical_period(F1, 256) is None
-    assert empirical_period(F2, 256) is None
+    assert period_of(F1, 256) is None
+    assert period_of(F2, 256) is None
 
 
 @pytest.mark.parametrize("module", ["classify", "closed_form", "tree", "operators"])
@@ -74,9 +79,13 @@ def test_structural_modules_never_import_the_oracle(module):
     assert not [name for name in imported if "oracle" in name.split(".")]
 
 
-def test_nothing_in_tree_recurses():
-    # trees thousands of levels deep rely on this; see build_tree and walk
-    source = Path(quadval.__file__).with_name("tree.py").read_text(encoding="utf-8")
+MODULES = sorted(path.stem for path in Path(quadval.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_nothing_in_tree_recurses(module):
+    # trees thousands of levels deep rely on this; see build_tree and the tree renderers
+    source = Path(quadval.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     recursive = []
     for fn in ast.walk(ast.parse(source)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):

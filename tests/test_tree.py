@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, F2, F4, F4_TABLE, double_root_outside_Z, make_case2, make_case3b
+from helpers import F1, F2, F4, F4_TABLE, big_ints, case3c_polys, double_root_outside_Z, make_case2, make_case3b
 from quadval import (
     INFINITE,
     Case,
@@ -14,13 +14,14 @@ from quadval import (
     TreeNode,
     build_tree,
     classify,
+    flatten_tree,
     infinite_branch_residues,
     is_type_ell_1,
     live_branch_count,
     node_status,
     nodes_by_level,
     nu2,
-    walk,
+    period_table,
 )
 
 
@@ -59,7 +60,7 @@ def test_node_status_matches_brute_force_constancy():
 def test_f4_tree_shape():
     tree = build_tree(F4, 8)
     assert tree.levels == 5
-    leaves = {(n.level, n.residue): n.valuation for n in walk(tree.root) if n.status is NodeStatus.TERMINATING}
+    leaves = {(n.level, n.residue): n.valuation for n in tree.nodes if n.status is NodeStatus.TERMINATING}
     assert leaves == {(1, 0): 0, (2, 1): 2, (3, 3): 4, (4, 7): 6, (5, 15): 8, (5, 31): 10}
     flat = [None] * 32
     for (level, residue), val in leaves.items():
@@ -71,21 +72,20 @@ def test_f4_tree_shape():
 def test_trivial_tree():
     tree = build_tree(QuadraticPoly(1, 1, 1), 4)
     assert tree.levels == 0
-    assert tree.root.status is NodeStatus.TERMINATING
-    assert tree.root.children == ()
+    assert tree.nodes == (TreeNode(0, 0, NodeStatus.TERMINATING, 0),)
 
 
 def test_capped_tree():
     tree = build_tree(F1, 6)
     assert tree.levels is None
-    capped = [n for n in walk(tree.root) if n.status is NodeStatus.DEPTH_CAPPED]
+    capped = [n for n in tree.nodes if n.status is NodeStatus.DEPTH_CAPPED]
     assert len(capped) == 1 and capped[0].level == 6
 
 
 def test_root_pinned_tree():
     tree = build_tree(QuadraticPoly(1, 1, 0), 6)
-    assert tree.root.status is NodeStatus.ROOT_NODE
-    assert tree.root.valuation is INFINITE
+    assert tree.nodes == (TreeNode(0, 0, NodeStatus.ROOT_NODE, INFINITE),)
+    assert tree.nodes[0].valuation is INFINITE
     assert tree.levels is None
 
 
@@ -173,8 +173,6 @@ def test_case3b_single_then_double():
         assert len(live) == (1 if level <= cls.disc.ell else 2)
 
 
-COEFF_BITS = 200
-big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
 nonzero_big_ints = big_ints.filter(lambda n: n != 0)
 
 
@@ -193,45 +191,49 @@ def polys(draw):
     return QuadraticPoly(a << shift, b << shift, c << shift)
 
 
-def preorder(node):
-    return [node] + [nd for child in node.children for nd in preorder(child)]
+def preorder_by_node_status(f, depth):
+    """The (level, residue) pre-order of f's tree to depth, each split
+    decided by node_status from f afresh, written recursively."""
+    def visit(level, residue):
+        out = [(level, residue)]
+        if level < depth and node_status(f, level, residue)[0] is NodeStatus.NON_TERMINATING:
+            out += visit(level + 1, residue) + visit(level + 1, residue + (1 << level))
+        return out
+
+    return visit(0, 0)
 
 
 @given(f=polys(), depth=st.integers(min_value=0, max_value=12))
 @settings(max_examples=300, deadline=None)
 def test_tree_nodes_carry_node_status(f, depth):
     tree = build_tree(f, depth)
-    nodes = list(walk(tree.root))
-    assert nodes == preorder(tree.root)
-    for node in nodes:
+    assert [(nd.level, nd.residue) for nd in tree.nodes] == preorder_by_node_status(f, depth)
+    for node in tree.nodes:
         status, val = node_status(f, node.level, node.residue)
         if node.status is NodeStatus.DEPTH_CAPPED:
             assert (node.level, status, node.valuation) == (depth, NodeStatus.NON_TERMINATING, None)
         else:
             assert (node.status, node.valuation) == (status, val)
-        if node.status is NodeStatus.NON_TERMINATING:
-            step = 1 << node.level
-            assert [(ch.level, ch.residue) for ch in node.children] == [
-                (node.level + 1, node.residue),
-                (node.level + 1, node.residue + step),
-            ]
-        else:
-            assert node.children == ()
-    closed = all(nd.status in (NodeStatus.TERMINATING, NodeStatus.NON_TERMINATING) for nd in nodes)
-    assert tree.levels == (max(nd.level for nd in nodes) if closed else None)
+    closed = all(nd.status in (NodeStatus.TERMINATING, NodeStatus.NON_TERMINATING) for nd in tree.nodes)
+    assert tree.levels == (max(nd.level for nd in tree.nodes) if closed else None)
+
+
+@given(f=case3c_polys())
+@settings(max_examples=150, deadline=None)
+def test_tree_leaves_reproduce_the_period_table_on_big_coefficients(f):
+    ell = classify(f).disc.ell
+    tree = build_tree(f, ell)
+    assert tree.levels == ell
+    assert flatten_tree(tree, 2**ell) == list(period_table(f).entries)
 
 
 def test_deep_trees_compare_hash_and_print():
     f = QuadraticPoly(13, 12, -28)
     one, two = build_tree(f, 2048), build_tree(f, 2048)
-    assert one.root is not two.root and one == two and hash(one) == hash(two)
-    assert build_tree(f, 2047).root != one.root
-    assert repr(one.root) == "TreeNode(0, 0, NodeStatus.NON_TERMINATING, None, 2 children)"
-    assert repr(one.root) in repr(one)
-    # Equal pre-orders of (level, residue, status, valuation) alone do not make equal trees.
-    leaf, open_node = TreeNode(1, 1, NodeStatus.TERMINATING, 0, ()), NodeStatus.NON_TERMINATING
-    nested = TreeNode(0, 0, open_node, None, (TreeNode(1, 0, open_node, None, (leaf,)),))
-    assert nested != TreeNode(0, 0, open_node, None, (TreeNode(1, 0, open_node, None, ()), leaf))
+    assert one.nodes is not two.nodes and one == two and hash(one) == hash(two)
+    assert build_tree(f, 2047) != one
+    assert repr(one.nodes[0]) == "TreeNode(level=0, residue=0, status=<NodeStatus.NON_TERMINATING: 'non_terminating'>, valuation=None)"
+    assert repr(one.nodes[0]) in repr(one)
 
 
 def descent_by_node_status(f, bits, branches):

@@ -1,5 +1,5 @@
 """Integer 2-adic helpers: nu2, the valuation of zero, discriminant
-factoring and inverses modulo powers of two.
+factoring, and inverses and square roots modulo powers of two.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so no special big-number handling is needed anywhere else in the package.
@@ -96,3 +96,23 @@ def inverse_mod_pow2(a: int, i: int) -> int:
     if i < 0:
         raise ValueError("modulus exponent must be nonnegative")
     return pow(a, -1, 1 << i) if i else 0
+
+
+def sqrt_mod_pow2(delta: int, k: int) -> int:
+    """The 2-adic square root of delta == 1 (mod 8) that is == 1 (mod 4),
+    reduced mod 2**k (k >= 1).
+
+    Newton on the inverse square root: from y = 1, where delta * y**2 ==
+    1 (mod 8), each step y <- y * (3 - delta * y**2) / 2 takes delta * y**2
+    == 1 (mod 2**j) to (mod 2**(2*j - 2)).  Once j > k, delta * y agrees
+    with the root mod 2**k.
+    """
+    if delta % 8 != 1:
+        raise ValueError(f"{delta} is not 1 mod 8, so it has no 2-adic square root of this kind")
+    if k < 1:
+        raise ValueError("precision must be at least 1")
+    y, j = 1, 3
+    while j <= k:
+        y = (y * (3 - delta * y * y) >> 1) & ((1 << (2 * j - 3)) - 1)
+        j = 2 * j - 2
+    return delta * y & ((1 << k) - 1)

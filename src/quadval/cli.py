@@ -18,13 +18,14 @@ outside its mathematical domain, 4 batch finished with error records,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .arith import INFINITE, Valuation, nu2
 from .classify import Case, Classification, classify, constant_valuation
-from .closed_form import closed_form_valuation, max_valuation, period_table
+from .closed_form import MAX_VALUES, closed_form_valuation, max_valuation, period_table
 from .operators import canonical_residue_map, canonicalize_to_type_ell_1
 from .oracle import empirical_period, valuation_sequence
 from .poly import DomainError, QuadraticPoly
@@ -46,16 +47,14 @@ EXIT_DOMAIN_ERROR = 3
 EXIT_PARTIAL_FAILURE = 4
 EXIT_INTERNAL_ERROR = 5
 
-# JSON trees nest two levels per tree level and grow with the square of
-# the depth, so they stop well inside the interpreter's recursion limit.
+# A JSON tree indents each node's keys by four spaces per level, so its
+# text grows as nodes times depth: 3.8 MB for a two-branch tree at 256.
 MAX_JSON_TREE_DEPTH = 256
-
-# table, seq and verify list or brute-force one value per n; no request
-# may ask for more than this many.
-MAX_VALUES = 2**20
 
 
 def _check_size(what: str, count: int) -> None:
+    """table, seq and verify list or brute-force one value per n; no
+    request may ask for more than MAX_VALUES of them."""
     if count > MAX_VALUES:
         raise ValueError(f"{what} {count} exceeds the limit of {MAX_VALUES} values")
 
@@ -213,19 +212,34 @@ def render_tree_dot(tree: ValuationTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tree_json(tree: ValuationTree) -> dict:
-    """The root's nested JSON object, in one pass over the pre-order: each
-    node's object joins the children of its parent (i-1, r mod 2**(i-1))."""
-    made: dict[tuple[int, int], dict] = {}
+def render_tree_json(tree: ValuationTree) -> str:
+    """The tree as json.dumps(..., indent=2) would print it, with the root
+    object nested under "root" and each node's children in a list, written
+    in one pass over the pre-order.  A node's keys sit at 2 * (2*level + 2)
+    spaces.  A leaf at (level, r) is the last node under as many of its
+    ancestors as r has consecutive 1 bits from bit level - 1 down (each
+    an odd child), and closes each of them."""
+    f = tree.poly
+    head = {"a": f.a, "b": f.b, "c": f.c, "depth_cap": tree.depth_cap, "levels": tree.levels}
+    parts = ["{\n", *(f'  "{key}": {json.dumps(value)},\n' for key, value in head.items()), '  "root": ']
     for node in tree.nodes:
-        out: dict = {"level": node.level, "residue": node.residue, "status": node.status.value}
+        level = node.level
+        pad = "  " * (2 * level + 2)
+        parts.append(f'{{\n{pad}"level": {level},\n{pad}"residue": {node.residue},\n{pad}"status": "{node.status.value}",\n')
         if node.valuation is not None:
-            out["valuation"] = _val_json(node.valuation)
-        out["children"] = []
-        made[node.level, node.residue] = out
-        if node.level:
-            made[node.level - 1, node.residue % (1 << (node.level - 1))]["children"].append(out)
-    return made[0, 0]
+            parts.append(f'{pad}"valuation": {json.dumps(_val_json(node.valuation))},\n')
+        if node.status is NodeStatus.NON_TERMINATING:
+            parts.append(f'{pad}"children": [\n{pad}  ')
+            continue
+        parts.append(f'{pad}"children": []\n{pad[2:]}}}')
+        closed = level - ((1 << level) - 1 - node.residue).bit_length()
+        for up in range(level - 1, level - 1 - closed, -1):
+            up_pad = "  " * (2 * up + 2)
+            parts.append(f"\n{up_pad}]\n{up_pad[2:]}}}")
+        if closed < level:
+            parts.append(",\n" + "  " * (2 * (level - closed) + 1))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -240,15 +254,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     if args.format == "dot":
         text = render_tree_dot(tree)
     elif args.format == "json":
-        payload = {
-            "a": f.a,
-            "b": f.b,
-            "c": f.c,
-            "depth_cap": tree.depth_cap,
-            "levels": tree.levels,
-            "root": _tree_json(tree),
-        }
-        text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        text = render_tree_json(tree)
     else:
         text = render_tree_ascii(tree)
     _emit(text, args.output)
@@ -303,7 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     window = max(horizon, 4 * period) if period else horizon  # how many values verify brute-forces
     _check_size("brute-force window", window)
     if horizon < 0:
-        raise ValueError("count must be nonnegative")
+        raise ValueError("horizon must be nonnegative")
 
     if cls.case_tag.is_constant:
         seq = valuation_sequence(f, 0, horizon)
@@ -418,6 +424,10 @@ def _parse_batch_text(text: str) -> tuple[str, list[tuple[int, tuple[int, int, i
     return "line", items
 
 
+# one encoder for every batch record; json.dumps with a keyword builds a new one per call
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     key, items = _parse_batch_text(text)
@@ -426,7 +436,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     for pos, coeffs, err in items:
         if err is not None:
             had_error = True
-            out_lines.append(json.dumps({key: pos, "error": err}, ensure_ascii=False))
+            out_lines.append(_encode_record({key: pos, "error": err}))
             continue
         assert coeffs is not None
         try:
@@ -434,9 +444,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
         except ValueError as exc:
             had_error = True
             record = {key: pos, "a": coeffs[0], "b": coeffs[1], "c": coeffs[2], "error": str(exc)}
-            out_lines.append(json.dumps(record, ensure_ascii=False))
+            out_lines.append(_encode_record(record))
             continue
-        out_lines.append(json.dumps(classification_record(cls), ensure_ascii=False))
+        out_lines.append(_encode_record(classification_record(cls)))
     _emit("\n".join(out_lines) + "\n" if out_lines else "", args.output)
     return EXIT_PARTIAL_FAILURE if had_error else EXIT_OK
 
@@ -485,7 +495,10 @@ def cmd_ops(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The quadval argument parser, built once per process; parsing leaves
+    no state in it."""
     parser = argparse.ArgumentParser(
         prog="quadval",
         description="2-adic valuations of integer quadratics: classification, tables, trees",

@@ -31,6 +31,11 @@ from .poly import DomainError, QuadraticPoly
 _NO_TABLE_MSG = "sequence is unbounded; no period table"
 _NO_CLOSED_FORM_MSG = "sequence is unbounded; no closed form"
 
+# The most entries a period table may have.  The closed form answers a
+# point query at any ell, but 2**ell entries soon exceed memory.  The CLI
+# bounds every listing and brute-force window by the same number.
+MAX_VALUES = 2**20
+
 # m -> (value for u even, value for u odd) above 2*(ell-1); see the module docstring.
 _FINAL = {2: (1, 0), 6: (1, 0), 3: (0, 1), 7: (0, 1), 5: (0, 2)}
 
@@ -94,7 +99,8 @@ def period_table(f: QuadraticPoly, *, classification: Classification | None = No
     Each class of t = a*n + h the rule tells apart, t == 2**(i-1) (mod
     2**i) for i = 1 .. ell and t == 0 (mod 2**ell), is one residue class
     of n and fills one slice.  Building the table also proves, via an
-    assertion, that these classes tile the period exactly once.
+    assertion, that these classes tile the period exactly once.  Raises
+    ValueError, before allocating, when the period exceeds MAX_VALUES.
     """
     cls = classification if classification is not None else classify(f)
     ell_m = _ell_m(cls, _NO_TABLE_MSG)
@@ -103,6 +109,8 @@ def period_table(f: QuadraticPoly, *, classification: Classification | None = No
         return PeriodTable(0, 1, off, (off,))
     ell, m = ell_m
     period = 1 << ell
+    if period > MAX_VALUES:
+        raise ValueError(f"the period table at ℓ={ell} has 2^{ell} entries, above the limit of {MAX_VALUES}")
     h = cls.reduced.b // 2
     ainv = inverse_mod_pow2(cls.reduced.a, ell)
     entries: list[int | None] = [None] * period

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import INFINITE, Valuation, nu2
+from .arith import INFINITE, Valuation, nu2, sqrt_mod_pow2
 from .classify import Case, Classification, classify
 from .closed_form import closed_form_valuation
 from .operators import canonical_residue_map
@@ -120,30 +120,66 @@ def nodes_by_level(tree: ValuationTree) -> dict[int, list[TreeNode]]:
     return out
 
 
+def _newton_root(f0: QuadraticPoly, x: int, bits: int) -> int:
+    """The 2-adic root of f0 that is == x (mod 2), reduced mod 2**bits,
+    for f0(x) even and an odd derivative 2*a*x + b.  Each step doubles
+    the precision of the root and, by the step u <- u * (2 - f0'(x) * u),
+    of the inverse u of the derivative, so no step inverts a number of
+    full size.  Residues
+    are taken with a mask, which costs linear time where % costs a
+    division."""
+    k, u = 1, 1  # f0(x) == 0 and u * f0'(x) == 1 (mod 2**k)
+    while k < bits:
+        k = min(2 * k, bits)
+        mask = (1 << k) - 1
+        x = (x - f0(x) * u) & mask
+        u = u * (2 - (2 * f0.a * x + f0.b) * u) & mask
+    return x
+
+
 def infinite_branch_residues(
     f: QuadraticPoly, bits: int, *, classification: Classification | None = None
 ) -> list[int]:
     """Residues mod 2**bits of the classes that refine forever.
 
+    A class refines forever exactly when it holds a 2-adic root of f, so
+    these are the roots of the reduced form f0 = (a0, b0, c0), lifted
+    directly to 2**bits.  In cases 2 and 4 the derivative 2*a0*x + b0 is
+    odd, and Newton's method doubles the precision at each step from the
+    root mod 2: c0 mod 2 in case 2, both 0 and 1 in case 4.  In case 3,
+    with h = b0/2, a0 * f0(x) = (a0*x + h)**2 - 4**(ell-1) * delta, so the
+    roots are (-h +- 2**(ell-1) * sqrt(delta)) * a0**(-1): the double root
+    -h * a0**(-1) once in case 3(a), and both signs in case 3(b), where
+    delta == 1 (mod 8) has a 2-adic square root (sqrt_mod_pow2), needed
+    only to bits - ell + 1 bits.  Each residue is checked to be a root of
+    f0 mod 2**bits.
+
     The result has exactly classification.infinite_branches entries,
-    sorted; when two branches still agree at this precision the shared
-    residue appears twice.  Descent continues through classes pinned by
-    an integer root, so those branches are located at full precision.
+    sorted; the two roots of case 3(b) agree mod 2**ell, so at that
+    precision or less the shared residue appears twice.  A root that is
+    an integer is found like any other.
     """
     if bits < 1:
         raise ValueError("bits must be at least 1")
     cls = classification if classification is not None else classify(f)
     if cls.case_tag.is_bounded:
         raise DomainError("the valuation sequence is bounded; there are no infinite branches")
-    expected = cls.infinite_branches
-    live = [(0, f.a, f.b, f.c)]
-    for i in range(bits):
-        below = [sub for node in live for sub in _split(i, *node)]
-        live = [sub for sub in below if _node_law(*sub[1:])[0] is not NodeStatus.TERMINATING]
-        assert live, "an unbounded sequence lost every live branch"
-        assert len(live) <= expected, "more live branches than 2-adic roots"
-    residues = [r for r, *_ in live]
-    return sorted(residues + residues[:1] * (expected - len(residues)))
+    f0, mask = cls.reduced, (1 << bits) - 1
+    if cls.case_tag is Case.CASE2_UNBOUNDED:
+        roots = [_newton_root(f0, f0.c & 1, bits)]
+    elif cls.case_tag is Case.CASE4_UNBOUNDED:
+        roots = [_newton_root(f0, 0, bits), _newton_root(f0, 1, bits)]
+    else:
+        ts = [0]  # t = a0*x + h at each root: one double root in case 3(a)
+        if cls.case_tag is Case.CASE3B_UNBOUNDED:
+            assert cls.disc is not None and cls.disc.ell is not None and cls.disc.delta is not None
+            ell = cls.disc.ell
+            t = sqrt_mod_pow2(cls.disc.delta, max(bits - ell + 1, 1)) << (ell - 1)
+            ts = [t, -t]
+        ainv = pow(f0.a, -1, mask + 1)
+        roots = [(t - f0.b // 2) * ainv & mask for t in ts]
+    assert all(f0(r) & mask == 0 for r in roots), "a branch residue is not a root of f mod 2**bits"
+    return sorted(roots)
 
 
 def live_branch_count(cls: Classification, level: int) -> int:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import re
 from random import Random
 
 from hypothesis import strategies as st
 
-from quadval import Case, Classification, QuadraticPoly, classify
+from quadval import INFINITE, Case, Classification, QuadraticPoly, ValuationTree, classify
 from quadval.cli import main as cli_main
 
 # The four reference polynomials used throughout, with brute-force
@@ -115,6 +116,24 @@ def make_case3b(rng: Random) -> QuadraticPoly:
             return f
 
 
+def tree_json_witness(tree: ValuationTree) -> str:
+    """`quadval tree --format json` the slow way: the nested objects built
+    from the pre-order, each node's object joining the children of its
+    parent (i-1, r mod 2**(i-1)), then printed by json.dumps."""
+    made: dict[tuple[int, int], dict] = {}
+    for node in tree.nodes:
+        out: dict = {"level": node.level, "residue": node.residue, "status": node.status.value}
+        if node.valuation is not None:
+            out["valuation"] = "inf" if node.valuation is INFINITE else node.valuation
+        out["children"] = []
+        made[node.level, node.residue] = out
+        if node.level:
+            made[node.level - 1, node.residue % (1 << (node.level - 1))]["children"].append(out)
+    f = tree.poly
+    payload = {"a": f.a, "b": f.b, "c": f.c, "depth_cap": tree.depth_cap, "levels": tree.levels, "root": made[0, 0]}
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
 DOT_NODE = re.compile(r'^\s*(\w+)\s*\[(.*)\];$')
 DOT_EDGE = re.compile(r'^\s*(\w+)\s*->\s*(\w+)')
 
@@ -140,6 +159,24 @@ def parse_dot(text: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
 
 COEFF_BITS = 200
 big_ints = st.integers(min_value=-(1 << COEFF_BITS), max_value=1 << COEFF_BITS)
+
+
+nonzero_big_ints = big_ints.filter(lambda n: n != 0)
+
+
+@st.composite
+def polys(draw):
+    """Coefficients of up to 200 bits, scaled by 2**i (i <= 4).  Half the
+    draws are free; the other half are k*(n - r1)*(p*n - r2), which has
+    the integer root r1, often small enough to pin a node of a shallow tree."""
+    shift = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        a, b, c = draw(nonzero_big_ints), draw(big_ints), draw(big_ints)
+    else:
+        k, p, r2 = draw(nonzero_big_ints), draw(nonzero_big_ints), draw(big_ints)
+        r1 = draw(st.integers(min_value=0, max_value=1 << 12) | big_ints)
+        a, b, c = k * p, -k * (p * r1 + r2), k * r1 * r2
+    return QuadraticPoly(a << shift, b << shift, c << shift)
 
 
 @st.composite

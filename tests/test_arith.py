@@ -1,8 +1,11 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadval import INFINITE, factor_discriminant, inverse_mod_pow2, nu2
+from quadval.arith import sqrt_mod_pow2
 
 nonzero_ints = st.integers(min_value=-10**12, max_value=10**12).filter(lambda n: n != 0)
 
@@ -92,3 +95,26 @@ def test_inverse_mod_pow2_edges():
         inverse_mod_pow2(6, 3)
     with pytest.raises(ValueError):
         inverse_mod_pow2(3, -1)
+
+
+def test_sqrt_mod_pow2_at_every_precision():
+    # each Newton step gains 2*j - 2 bits of delta*y**2 == 1, not 2*j - 1;
+    # a schedule that counted one bit more would stop short of k here
+    rng = Random(8)
+    deltas = [1, 9, 17, 25, 33, 41, 57, -7, -15, -23, -31, -39, -63, (1 << 200) + 1, 1 - (1 << 200)]
+    deltas += [8 * rng.randint(1, 1 << rng.randint(1, 300)) * sign + 1 for sign in (1, -1) for _ in range(20)]
+    for delta in deltas:
+        root = sqrt_mod_pow2(delta, 300)
+        assert root % 4 == 1
+        for k in range(1, 301):
+            s = sqrt_mod_pow2(delta, k)
+            assert s == root % (1 << k)
+            # s**2 == delta mod 2**(k+1) holds only at +-sqrt(delta) mod 2**k
+            assert (s * s - delta) % (1 << (k + 1)) == 0
+
+
+def test_sqrt_mod_pow2_validation():
+    with pytest.raises(ValueError):
+        sqrt_mod_pow2(5, 3)
+    with pytest.raises(ValueError):
+        sqrt_mod_pow2(9, 0)

@@ -5,9 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import F4_TABLE, parse_dot, run_cli
-from quadval import QuadraticPoly, nu2
+from helpers import F2, F4_TABLE, parse_dot, polys, run_cli, tree_json_witness
+from quadval import QuadraticPoly, build_tree, nu2
+from quadval.cli import build_parser, render_tree_json
 
 
 def test_classify_bounded_text():
@@ -180,6 +183,24 @@ def test_tree_json_depth_bound():
     assert "256" in err
     code, out, _ = run_cli(["tree", "-a", "13", "-b", "12", "-c", "-28", "--depth", "256", "--format", "json"])
     assert code == 0 and json.loads(out)["depth_cap"] == 256
+    assert out == tree_json_witness(build_tree(F2, 256))
+
+
+@given(f=polys(), depth=st.integers(min_value=0, max_value=12))
+@example(f=QuadraticPoly(1, 0, -1), depth=2)  # a ROOT_NODE with valuation "inf"
+@example(f=QuadraticPoly(13, 12, -28), depth=4)  # DEPTH_CAPPED leaves, levels null
+@example(f=QuadraticPoly(5, 106, 1125), depth=12)  # a complete tree, levels 5
+@example(f=QuadraticPoly(1, 1, 1), depth=0)  # the root alone
+@settings(max_examples=300, deadline=None)
+def test_tree_json_writer_matches_json_dumps(f, depth):
+    tree = build_tree(f, depth)
+    assert render_tree_json(tree) == tree_json_witness(tree)
+
+
+@pytest.mark.parametrize("coeffs", [["5", "106", "1125"], ["1", "0", "-1"], ["13", "12", "-28"], ["1", "1", "1"]])
+def test_tree_json_round_trip(coeffs):
+    _, out, _ = run_cli(["tree", "-a", coeffs[0], "-b", coeffs[1], "-c", coeffs[2], "--depth", "6", "--format", "json"])
+    assert json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n" == out
 
 
 def test_seq_csv_reference_rows(tmp_path):
@@ -308,6 +329,12 @@ def test_size_limit_admits_exactly_max_values(monkeypatch):
     assert run_cli(["seq", *unbounded, "--count", "65"])[0] == 2
 
 
+@pytest.mark.parametrize("coeffs", [["5", "106", "1125"], ["4", "13", "-25"], ["1", "1", "1"]])
+def test_verify_negative_horizon_names_the_option(coeffs):
+    code, out, err = run_cli(["verify", "-a", coeffs[0], "-b", coeffs[1], "-c", coeffs[2], "--horizon", "-5"])
+    assert (code, out, err) == (2, "", "error: horizon must be nonnegative\n")
+
+
 def test_verify_constant():
     code, out, _ = run_cli(["verify", "-a", "1", "-b", "1", "-c", "1", "--horizon", "500"])
     assert code == 0
@@ -323,6 +350,7 @@ def test_batch_csv(tmp_path):
     code, out, _ = run_cli(["batch", "--input", str(path)])
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
+    assert [json.dumps(r, ensure_ascii=False) for r in records] == out.splitlines()
     assert [r["case"] for r in records] == ["2", "3(b)", "3(c)", "3(c)"]
     assert records[2]["period"] == 128 and records[3]["period"] == 32
     assert records[0]["infinite_branches"] == 1 and records[1]["infinite_branches"] == 2
@@ -435,6 +463,19 @@ def test_unexpected_exceptions_exit_5_without_a_traceback(monkeypatch):
     code, out, err = run_cli(["tree", "-a", "5", "-b", "106", "-c", "1125"])
     assert (code, out) == (5, "")
     assert err == "internal error: RuntimeError: tree builder broke\n"
+
+
+def test_consecutive_calls_share_no_state():
+    # the parser is built once per process, so nothing one call parses may reach the next
+    assert build_parser() is build_parser()
+    classify_f4 = ["classify", "-a", "5", "-b", "106", "-c", "1125"]
+    assert json.loads(run_cli([*classify_f4, "--json"])[1])["case"] == "3(c)"
+    assert run_cli(["classify", "-a", "5", "-b", "106"])[0] == 2
+    assert run_cli(classify_f4) == (0, "f(n) = 5n^2 + 106n + 1125\nbounded, case 3(c), ℓ=5, m=5, period 32\n", "")
+    tree_f2 = ["tree", "-a", "13", "-b", "12", "-c", "-28", "--format", "json"]
+    assert json.loads(run_cli([*tree_f2, "--depth", "3"])[1])["depth_cap"] == 3
+    assert json.loads(run_cli(tree_f2)[1])["depth_cap"] == 32
+    assert run_cli(["tree", "-a", "13", "-b", "12", "-c", "-28"])[1].splitlines()[0] == "n  *"
 
 
 def test_output_flag(tmp_path):

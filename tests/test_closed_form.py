@@ -15,6 +15,7 @@ from quadval import (
     nu2,
     period_table,
 )
+from quadval.closed_form import MAX_VALUES
 
 
 def test_f4_full_table():
@@ -51,6 +52,15 @@ def test_closed_form_on_constants():
     assert closed_form_valuation(QuadraticPoly(1, 1, 1), 12) == 0
     table = period_table(QuadraticPoly(4, 8, 2))
     assert (table.period, table.entries) == (1, (1,))
+
+
+def test_period_table_refuses_oversize_tables_before_allocating():
+    # n**2 + 2n + 1 - 5 * 4**(ell-1) has period 2**ell
+    assert period_table(QuadraticPoly(1, 2, 1 - 5 * 4**19)).period == MAX_VALUES
+    for ell in (21, 64):
+        with pytest.raises(ValueError, match=f"ℓ={ell}") as info:
+            period_table(QuadraticPoly(1, 2, 1 - 5 * 4 ** (ell - 1)))
+        assert not isinstance(info.value, DomainError)
 
 
 def test_unbounded_raises():

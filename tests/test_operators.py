@@ -99,6 +99,14 @@ def test_table_s_law_with_and_without_divisibility():
         table_s_law(QuadraticPoly(1, 2, 5), 6)
 
 
+def test_table_laws_refuse_oversize_tables():
+    ell_64 = QuadraticPoly(1, 2, 1 - 5 * 4**63)
+    with pytest.raises(ValueError, match="ℓ=64"):
+        table_translate_law(ell_64, 3)
+    with pytest.raises(ValueError, match="ℓ=64"):
+        table_s_law(ell_64, 3)
+
+
 def test_table_s_law_random_monic():
     rng = Random(17)
     suite = sample_with(

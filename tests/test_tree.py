@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, F2, F4, F4_TABLE, big_ints, case3c_polys, double_root_outside_Z, make_case2, make_case3b
+from helpers import F1, F2, F4, F4_TABLE, case3c_polys, double_root_outside_Z, make_case2, make_case3b, polys
 from quadval import (
     INFINITE,
     Case,
@@ -119,6 +119,8 @@ def test_branch_residues_examples():
     assert nu2(F1(9)) == 5
     assert infinite_branch_residues(QuadraticPoly(1, 0, -1), 6) == [1, 63]
     assert infinite_branch_residues(QuadraticPoly(1, 1, 0), 10) == [0, 1023]
+    # case 3(a): the double root of (n + 3)**2 is one branch, listed once
+    assert infinite_branch_residues(QuadraticPoly(1, 6, 9), 8) == [253]
 
 
 def test_branch_residues_duplicate_until_separation():
@@ -171,24 +173,6 @@ def test_case3b_single_then_double():
     for level in range(1, 9):
         live = [n for n in by[level] if n.status in (NodeStatus.NON_TERMINATING, NodeStatus.DEPTH_CAPPED)]
         assert len(live) == (1 if level <= cls.disc.ell else 2)
-
-
-nonzero_big_ints = big_ints.filter(lambda n: n != 0)
-
-
-@st.composite
-def polys(draw):
-    """Coefficients of up to 200 bits, scaled by 2**i (i <= 4).  Half the
-    draws are free; the other half are k*(n - r1)*(p*n - r2), which has
-    the integer root r1, often small enough to pin a node of a shallow tree."""
-    shift = draw(st.integers(min_value=0, max_value=4))
-    if draw(st.booleans()):
-        a, b, c = draw(nonzero_big_ints), draw(big_ints), draw(big_ints)
-    else:
-        k, p, r2 = draw(nonzero_big_ints), draw(nonzero_big_ints), draw(big_ints)
-        r1 = draw(st.integers(min_value=0, max_value=1 << 12) | big_ints)
-        a, b, c = k * p, -k * (p * r1 + r2), k * r1 * r2
-    return QuadraticPoly(a << shift, b << shift, c << shift)
 
 
 def preorder_by_node_status(f, depth):
@@ -250,13 +234,17 @@ def descent_by_node_status(f, bits, branches):
     return sorted(live + live[:1] * (branches - len(live)))
 
 
-@given(f=polys(), bits=st.integers(min_value=1, max_value=64))
+@given(f=polys(), bits=st.integers(min_value=1, max_value=512))
 @settings(max_examples=300, deadline=None)
 def test_branch_residues_match_descent_by_node_status(f, bits):
     cls = classify(f)
     assume(not cls.case_tag.is_bounded)
     expected = descent_by_node_status(f, bits, cls.infinite_branches)
     assert infinite_branch_residues(f, bits, classification=cls) == expected
+
+
+def test_branch_residues_match_descent_at_8192_bits():
+    assert infinite_branch_residues(F2, 8192) == descent_by_node_status(F2, 8192, 2)
 
 
 @given(f=polys())
